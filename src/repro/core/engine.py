@@ -26,6 +26,16 @@ def _npz_stamp(npz_path: str) -> list:
     return [stat.st_mtime_ns, stat.st_size]
 
 
+def _sidecar_stamp(sidecar: str) -> list | None:
+    """The npz stamp a published sidecar was expanded from (None when
+    there is no readable manifest)."""
+    try:
+        with open(os.path.join(sidecar, "manifest.json")) as fh:
+            return json.load(fh).get("stamp")
+    except (OSError, ValueError):
+        return None
+
+
 def ensure_mmap_weights(directory: str) -> str:
     """Expand ``weights.npz`` into a ``weights_mmap/`` sidecar of raw
     per-array ``.npy`` files and return its path.
@@ -37,18 +47,14 @@ def ensure_mmap_weights(directory: str) -> str:
     the npz stamp, and a stale or missing sidecar is rebuilt in a temp
     directory and published with an atomic rename, so concurrent
     openers (N worker processes booting at once) never observe a
-    half-written file — the loser of the race just keeps the winner's
-    sidecar."""
+    half-written file.  A sidecar whose stamp matches is never
+    removed — another opener may be mapping its files — so an
+    expander that lost the race discards its own copy."""
     npz = os.path.join(directory, "weights.npz")
     sidecar = os.path.join(directory, "weights_mmap")
-    manifest_path = os.path.join(sidecar, "manifest.json")
     stamp = _npz_stamp(npz)
-    try:
-        with open(manifest_path) as fh:
-            if json.load(fh).get("stamp") == stamp:
-                return sidecar
-    except (OSError, ValueError):
-        pass
+    if _sidecar_stamp(sidecar) == stamp:
+        return sidecar
     tmp = f"{sidecar}.tmp.{os.getpid()}"
     os.makedirs(tmp, exist_ok=True)
     arrays = {}
@@ -59,13 +65,19 @@ def ensure_mmap_weights(directory: str) -> str:
             arrays[name] = filename
     with open(os.path.join(tmp, "manifest.json"), "w") as fh:
         json.dump({"stamp": stamp, "arrays": arrays}, fh)
-    if os.path.isdir(sidecar):              # stale: replace wholesale
-        shutil.rmtree(sidecar, ignore_errors=True)
     try:
-        os.rename(tmp, sidecar)
+        os.rename(tmp, sidecar)             # publish where none exists
+        return sidecar
     except OSError:
-        # a concurrent expander published first; trust its sidecar
-        shutil.rmtree(tmp, ignore_errors=True)
+        pass                                # occupied: fresh or stale
+    if _sidecar_stamp(sidecar) != stamp:    # stale: replace wholesale
+        shutil.rmtree(sidecar, ignore_errors=True)
+        try:
+            os.rename(tmp, sidecar)
+            return sidecar
+        except OSError:
+            pass                            # a concurrent expander won
+    shutil.rmtree(tmp, ignore_errors=True)
     return sidecar
 
 

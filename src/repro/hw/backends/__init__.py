@@ -22,13 +22,6 @@ Shipped backends:
     and an integer scan for the margin/termination sweep.  ≥2x the
     reference at paper-scale tiles (S=512-1280), pinned by
     ``benchmarks/test_kernel_micro.py``.
-``numba``
-    optional JIT per-pair kernel with true per-score early exit;
-    auto-registered only when :mod:`numba` imports.
-``torch``
-    optional torch backend running the same plane-group decomposition
-    through (GPU-capable) torch matmuls; auto-registered only when
-    :mod:`torch` imports.
 
 Selection precedence: an explicit ``backend=`` argument
 (``TileSimulator``, ``bitserial_cycles_matrix``), then
@@ -40,8 +33,8 @@ Beyond per-tile ``matrix`` calls, backends may implement a batched
 returning one ``(cycles, pruned, scores)`` triple per job.  The
 serving regime issues many small tiles per step (one per
 stream/layer/head), and a fused implementation can amortize per-call
-pack/GEMM overhead across them; ``numpy-packed`` and ``torch`` fuse
-all jobs sharing a head-dim into single GEMMs.  Backends without
+pack/GEMM overhead across them; ``numpy-packed`` fuses all jobs
+sharing a head-dim into single GEMMs.  Backends without
 ``matrix_many`` are driven through :func:`run_many`, which falls back
 to a per-job ``matrix`` loop — results are bit-identical either way,
 pinned by ``tests/test_fused.py``.
@@ -177,7 +170,7 @@ def get_backend(name: str | None = None) -> KernelBackend:
     """Look up a backend; ``None`` resolves env var / default.
 
     Raises ``KeyError`` naming the valid choices for a typo'd or
-    unavailable backend (e.g. ``numba`` without numba installed).
+    unregistered backend.
     """
     resolved = resolve_backend_name(name)
     try:
@@ -190,20 +183,8 @@ def get_backend(name: str | None = None) -> KernelBackend:
 
 
 # -- built-in backends ------------------------------------------------------
-# numpy backends always register; the numba backend registers itself only
-# when numba imports, so environments without it just don't list it.
 from . import numpy_ref       # noqa: E402,F401  (registers numpy-ref)
 from . import numpy_packed    # noqa: E402,F401  (registers numpy-packed)
-
-try:
-    from . import numba_jit   # noqa: E402,F401  (registers numba)
-except ImportError:           # pragma: no cover - numba is optional
-    numba_jit = None
-
-try:
-    from . import torch_gemm  # noqa: E402,F401  (registers torch)
-except ImportError:           # pragma: no cover - torch is optional
-    torch_gemm = None
 
 from .packed_common import PlaneGroupCache  # noqa: E402
 

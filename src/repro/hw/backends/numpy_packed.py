@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import KernelJob, register_backend
-from .packed_common import fused_matrix_many, numpy_batched_gemm
+from .packed_common import fused_matrix_many
 
 
 def matrix(q, k, threshold: float, magnitude_bits: int, group: int,
@@ -51,7 +51,7 @@ def matrix(q, k, threshold: float, magnitude_bits: int, group: int,
     job = KernelJob(q=q, k=k, threshold=threshold,
                     magnitude_bits=magnitude_bits, group=group,
                     valid=valid, margin_scale=margin_scale)
-    return fused_matrix_many([job], numpy_batched_gemm)[0]
+    return fused_matrix_many([job])[0]
 
 
 class NumpyPackedBackend:
@@ -71,7 +71,7 @@ class NumpyPackedBackend:
 
     @staticmethod
     def matrix_many(jobs, cache=None):
-        return fused_matrix_many(jobs, numpy_batched_gemm, cache=cache)
+        return fused_matrix_many(jobs, cache=cache)
 
 
 BACKEND = register_backend(NumpyPackedBackend())

@@ -1,7 +1,6 @@
-"""Shared packed-bitplane machinery for fused kernel backends.
+"""Packed-bitplane machinery behind the ``numpy-packed`` backend.
 
-Two pieces live here, used by ``numpy-packed`` and the optional
-``torch`` backend:
+Two pieces live here:
 
 **Pack-once plane-group caches.**  :func:`pack_planes` turns a key
 matrix into the ``(cycles + 1, S_k, D)`` plane-group stack the fused
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -57,14 +56,9 @@ _I32_SAFE = 1 << 30
 _MAX_CHUNK_MACS = 1 << 27
 _MAX_CHUNK_ELEMENTS = 1 << 24
 
-# gemm(a, b) -> a @ b^T over the last two axes, for stacked
-# (n, M, D) x (n, R, D) -> (n, M, R) operands; backends supply the
-# matmul (numpy BLAS, torch / GPU) and this module everything else
-BatchedGemm = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def numpy_batched_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The numpy implementation of the :data:`BatchedGemm` contract."""
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b^T over the last two axes, for stacked (n, M, D) x
+    (n, R, D) -> (n, M, R) operands."""
     return np.matmul(a, b.swapaxes(-1, -2))
 
 
@@ -238,8 +232,7 @@ def _empty_result(job, s_q: int, s_k: int):
     return cycles, pruned, scores
 
 
-def fused_matrix_many(jobs, gemm: BatchedGemm,
-                      cache: PlaneGroupCache | None = None) -> list:
+def fused_matrix_many(jobs, cache: PlaneGroupCache | None = None) -> list:
     """Evaluate a batch of kernel jobs via banded block-diagonal GEMMs.
 
     Returns one ``(cycles, pruned, scores)`` triple per job, in input
@@ -287,7 +280,7 @@ def fused_matrix_many(jobs, gemm: BatchedGemm,
             for start in range(0, len(band), per_chunk):
                 staged.append(_stage_chunk(
                     band[start:start + per_chunk], spec, dim,
-                    s_q_pad, s_k_pad, gemm, cache))
+                    s_q_pad, s_k_pad, cache))
         # one margin/termination scan over every chunk's concatenated
         # (padded) score lanes — the scan cost no longer multiplies
         # with the number of shape bands
@@ -315,7 +308,7 @@ class _StagedChunk:
 
 
 def _stage_chunk(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
-                 s_q_pad: int, s_k_pad: int, gemm: BatchedGemm,
+                 s_q_pad: int, s_k_pad: int,
                  cache: PlaneGroupCache | None) -> _StagedChunk:
     n = len(chunk)
     n_groups = spec.n_groups
@@ -385,8 +378,8 @@ def _stage_chunk(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
         view[:, n_groups] = signs
         abs_sign_stack = np.abs(signs).astype(gemm_dtype)
 
-    big = gemm(q_stack, plane_stack)
-    abs_big = gemm(np.abs(q_stack), abs_sign_stack)
+    big = _gemm(q_stack, plane_stack)
+    abs_big = _gemm(np.abs(q_stack), abs_sign_stack)
     fused = big.reshape(n, s_q_pad, n_groups + 1, s_k_pad)
 
     # margin base: sum of q*sign over dims where the product can push
@@ -496,4 +489,4 @@ def _scan_group(staged: list[_StagedChunk], spec: PlaneSpec,
 
 
 __all__ = ["PlaneSpec", "plane_spec", "pack_planes", "PlaneGroupCache",
-           "fused_matrix_many", "numpy_batched_gemm", "BatchedGemm"]
+           "fused_matrix_many"]

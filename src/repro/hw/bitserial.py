@@ -10,8 +10,8 @@ Two entry points into the same hardware semantics:
 * ``bitserial_cycles_matrix`` — the hot path.  Evaluates an entire
   S_q x S_k score tile through a pluggable kernel backend
   (:mod:`repro.hw.backends`): ``numpy-ref`` is the original
-  O(bit-planes) einsum kernel, ``numpy-packed`` the packed-bitplane
-  fast path, ``numba`` an optional JIT kernel.  Select with the
+  O(bit-planes) einsum kernel and the test oracle, ``numpy-packed``
+  the packed-bitplane fast path.  Select with the
   ``backend=`` argument, ``TileConfig.kernel_backend``, or the
   ``REPRO_KERNEL_BACKEND`` environment variable.
 

@@ -5,7 +5,7 @@ through ``estimate_many`` / the serving engines); the simulator times
 each fused ``run_many`` kernel call and reports it here together with
 chunking stats — how many jobs rode in the call and how many distinct
 plane groups they spanned.  Aggregation is per backend, so an A/B of
-``numpy-packed`` vs ``torch`` falls out of one profiled run.
+``numpy-ref`` vs ``numpy-packed`` falls out of one profiled run.
 
 Timing uses the caller-supplied wall timestamps (``perf_counter`` at
 the call sites), so profiling is *measurement*, not part of the

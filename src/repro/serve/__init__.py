@@ -1,6 +1,6 @@
-"""Batched serving: async request queue + dynamic batcher with
-per-stream KV caches in front of ``PrunedInferenceEngine``; stream
-scheduling is round-based or continuous (``continuous=True``),
+"""Batched serving: async request queue + dynamic batcher with a
+persistent KV slot buffer in front of ``PrunedInferenceEngine``;
+streams run on a step-planned continuous scheduler,
 ``ModelRouter`` fronts several engines behind one queue discipline
 with health-checked routing, ``WorkerTier`` scales one model across
 shared-nothing engine replicas (``ProcessWorkerTier`` puts each
@@ -25,8 +25,7 @@ from .procworkers import ProcessWorkerTier, WorkerDied
 from .router import (EngineQuarantined, ModelRouter, UnknownModelError)
 from .scheduler import SchedulerConfig, SLOAdmission, StepPlan, \
     StepPlanner
-from .streams import KVSlotBuffer, StreamState, stack_caches, \
-    unstack_caches
+from .streams import KVSlotBuffer, StreamState
 from .workers import WorkerTier
 
 __all__ = ["AsyncServingEngine", "BatchPolicy", "CoalescedBatch",
@@ -34,8 +33,7 @@ __all__ = ["AsyncServingEngine", "BatchPolicy", "CoalescedBatch",
            "ServeResult",
            "ServingEngine", "ServingStats", "HardwareTotals",
            "slice_record", "ModelRouter", "SchedulerConfig", "StepPlan",
-           "StepPlanner", "KVSlotBuffer", "StreamState", "stack_caches",
-           "unstack_caches",
+           "StepPlanner", "KVSlotBuffer", "StreamState",
            # reliability layer
            "DeadlineExceeded", "RequestCancelled", "ShedOverload",
            "REASON_OK", "REASON_DEADLINE", "REASON_CANCELLED",

@@ -9,9 +9,9 @@ over all of them behind one queue.  Pushes a burst of mixed-length
 requests / generation streams through the dynamic batcher and prints
 per-request results plus aggregate hardware accounting (cycles and
 energy charged per request even though the traffic was served
-coalesced).  ``--continuous`` swaps the round-based stream loop for
-the step-planned continuous scheduler (``--preempt-after`` enables
-preemption under queue pressure); ``--kernel-backend`` picks which
+coalesced).  Streams run on the step-planned continuous scheduler
+(``--preempt-after`` enables preemption under queue pressure);
+``--kernel-backend`` picks which
 bit-serial kernel backend produces the hardware estimates; each
 estimate records the backend that made it.
 """
@@ -82,7 +82,7 @@ def make_serving(args, engine, hw_config,
         BatchPolicy(max_batch_size=args.max_batch_size,
                     max_wait=args.max_wait),
         estimate_hardware=True, hw_config=hw_config,
-        continuous=args.continuous, preempt_after=args.preempt_after,
+        preempt_after=args.preempt_after,
         registry=args.obs_registry, tracer=args.obs_tracer, name=name)
 
 
@@ -133,9 +133,8 @@ def classify_demo(args, engine: PrunedInferenceEngine,
 
 def generate_demo(args, engine: PrunedInferenceEngine,
                   hw_config) -> None:
-    scheduler = "continuous" if args.continuous else "round-based"
-    print(f"== concurrent generation streams ({scheduler} scheduler, "
-          "per-stream KV caches) ==")
+    print("== concurrent generation streams (continuous scheduler, "
+          "KV slot buffer) ==")
     serving = make_serving(args, engine, hw_config, name="lm")
     config = engine.model.config
     rng = np.random.default_rng(args.seed)
@@ -162,10 +161,9 @@ def generate_demo(args, engine: PrunedInferenceEngine,
           f"{stats.hardware.runtime_ns / 1e3:.1f} us "
           f"({stats.hardware.speedup_vs_baseline:.2f}x cycles, "
           f"{stats.hardware.energy_reduction:.2f}x energy vs baseline)")
-    if args.continuous:
-        print(f"     scheduler: {stats.admitted} admissions, "
-              f"{stats.preemptions} preemptions, "
-              f"{stats.resumes} resumes over {stats.steps} planned steps")
+    print(f"     scheduler: {stats.admitted} admissions, "
+          f"{stats.preemptions} preemptions, "
+          f"{stats.resumes} resumes over {stats.steps} planned steps")
     if args.stats:
         print_reason_stats("lm", stats)
 
@@ -180,7 +178,7 @@ def tier_demo(args, directory: str, hw_config) -> None:
         policy=BatchPolicy(max_batch_size=args.max_batch_size,
                            max_wait=args.max_wait),
         estimate_hardware=True, hw_config=hw_config,
-        continuous=args.continuous, preempt_after=args.preempt_after,
+        preempt_after=args.preempt_after,
         registry=args.obs_registry, tracer=args.obs_tracer)
     config = tier.workers[0].engine.model.config
     rng = np.random.default_rng(args.seed)
@@ -224,7 +222,7 @@ def proc_tier_demo(args, directory: str, hw_config) -> None:
         policy=BatchPolicy(max_batch_size=args.max_batch_size,
                            max_wait=args.max_wait),
         estimate_hardware=True, hw_config=hw_config,
-        continuous=args.continuous, preempt_after=args.preempt_after,
+        preempt_after=args.preempt_after,
         registry=args.obs_registry, tracer=args.obs_tracer)
     try:
         rng = np.random.default_rng(args.seed)
@@ -327,13 +325,9 @@ def main(argv=None) -> None:
                              "snapshot instead of the built-in toys; "
                              "repeat to mount a multi-model router "
                              "(NAME defaults to the directory name)")
-    parser.add_argument("--continuous", action="store_true",
-                        help="continuous-batching stream scheduler "
-                             "(admit into free decode slots each step) "
-                             "instead of round-based")
     parser.add_argument("--preempt-after", type=int, default=None,
                         metavar="STEPS",
-                        help="continuous mode: preempt streams that ran "
+                        help="preempt streams that ran "
                              "this many decode steps when the waiting "
                              "queue is pressured (default: never)")
     parser.add_argument("--requests", type=int, default=12,
@@ -393,8 +387,6 @@ def main(argv=None) -> None:
     if args.kernel_backend:
         get_backend(args.kernel_backend)      # typo -> error before traffic
         hw_config = replace(AE_LEOPARD, kernel_backend=args.kernel_backend)
-    if args.preempt_after is not None and not args.continuous:
-        parser.error("--preempt-after needs --continuous")
     if args.model is not None and len(args.engine_dir or []) < 2:
         parser.error("--model routes within a multi-model router; mount "
                      "at least two --engine-dir snapshots")

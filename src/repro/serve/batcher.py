@@ -283,9 +283,8 @@ class DynamicBatcher:
     starved by later arrivals.
 
     Generation streams wait in a separate FIFO admission queue that the
-    scheduler drains explicitly: the round-based loop pops everything
-    each step, while the continuous planner pops exactly as many
-    streams as it has free decode slots (``pop_streams``), and
+    scheduler drains explicitly: each step pops exactly as many streams
+    as the planner has free decode slots for (``pop_streams``), and
     preempted streams re-enter at the back so fresh arrivals are never
     starved by swapped-out residents.  Under a model router each model
     owns its own batcher, so every queue here — buckets and streams —

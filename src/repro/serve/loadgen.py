@@ -476,7 +476,7 @@ def main(argv=None) -> None:
         policy = BatchPolicy(max_batch_size=args.max_batch_size,
                              max_wait=0.0)
         tier_kwargs = dict(
-            policy=policy, clock=clock, continuous=True,
+            policy=policy, clock=clock,
             step_token_budget=args.step_token_budget, slo=slo,
             registry=registry, tracer=tracer)
         trace = TraceSpec(
@@ -503,7 +503,7 @@ def main(argv=None) -> None:
             # on real cores
             base_tier = WorkerTier.from_snapshot(
                 directory, replicas=args.replicas, policy=policy,
-                clock=clock, continuous=True,
+                clock=clock,
                 step_token_budget=args.step_token_budget,
                 slo=(SLOAdmission(ttft_target=args.ttft_slo)
                      if args.ttft_slo is not None else None))

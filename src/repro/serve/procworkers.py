@@ -59,6 +59,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ..core.engine import ensure_mmap_weights
 from ..obs.metrics import as_registry
 from ..obs.tracing import as_tracer
 from .batcher import BatchPolicy
@@ -151,12 +152,9 @@ def _worker_main(sock: socket.socket, directory: str, index: int,
             "decode": hasattr(engine.engine.model, "decode_step"),
         }))
         idmap: dict[int, int] = {}     # engine id -> tier id
+        inner: dict[int, int] = {}     # tier id -> engine id
         extra: list = []               # synthesized failure results
         traced = 0                     # trace events already shipped
-
-        def find_inner(tier_id):
-            return next((eid for eid, tid in idmap.items()
-                         if tid == tier_id), None)
 
         while True:
             op, payload = _recv(sock)
@@ -172,6 +170,7 @@ def _worker_main(sock: socket.socket, directory: str, index: int,
                         now=payload["now"],
                         deadline=payload["deadline"])
                     idmap[eid] = tier_id
+                    inner[tier_id] = eid
                 except Exception as error:     # noqa: BLE001 — shipped
                     extra.append((tier_id, ServeResult(
                         request_id=tier_id, kind="classify",
@@ -187,6 +186,7 @@ def _worker_main(sock: socket.socket, directory: str, index: int,
                         now=payload["now"],
                         deadline=payload["deadline"])
                     idmap[eid] = tier_id
+                    inner[tier_id] = eid
                 except Exception as error:     # noqa: BLE001 — shipped
                     extra.append((tier_id, ServeResult(
                         request_id=tier_id, kind="generate",
@@ -195,22 +195,22 @@ def _worker_main(sock: socket.socket, directory: str, index: int,
                         timing=RequestTiming(arrival=payload["now"],
                                              finished=payload["now"]))))
             elif op == "cancel":
-                inner = find_inner(payload["tier_id"])
+                eid = inner.get(payload["tier_id"])
                 _send(sock, ("cancelled",
-                             False if inner is None
-                             else engine.cancel(inner)))
+                             False if eid is None
+                             else engine.cancel(eid)))
             elif op == "finish":
-                inner = find_inner(payload["tier_id"])
-                if inner is None:
+                eid = inner.get(payload["tier_id"])
+                if eid is None:
                     _send(sock, ("finished", KeyError(
                         f"unknown request {payload['tier_id']}")))
                 else:
                     try:
-                        result = engine.collect(inner)
+                        result = engine.collect(eid)
                     except Exception as error:  # noqa: BLE001 — shipped
                         _send(sock, ("finished", error))
                     else:
-                        idmap.pop(inner, None)
+                        del idmap[eid], inner[payload["tier_id"]]
                         result.request_id = payload["tier_id"]
                         _send(sock, ("finished", result))
             elif op in ("step", "flush"):
@@ -223,6 +223,7 @@ def _worker_main(sock: socket.socket, directory: str, index: int,
                     tid = idmap.pop(eid, None)
                     if tid is None:
                         continue
+                    del inner[tid]
                     result = engine.collect(eid)
                     # re-badge into the tier-global id space before
                     # shipping: the parent never sees engine ids
@@ -300,6 +301,10 @@ class ProcessWorkerTier:
         self.health = {i: EngineHealth(health) for i in range(procs)}
         self._socks: dict[int, socket.socket] = {}
         self._procs: dict[int, multiprocessing.process.BaseProcess] = {}
+        if mmap:
+            # expand the weight sidecar once, before any fork, so the
+            # workers only ever open a published sidecar
+            ensure_mmap_weights(directory)
         ctx = multiprocessing.get_context("fork")
         try:
             for index in range(procs):

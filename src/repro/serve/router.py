@@ -11,12 +11,12 @@ router-global, so callers never juggle per-engine id spaces.
 Scheduling is budget-shared: each router step splits ``step_budget``
 decode slots across the engines that have stream work, proportionally
 to their load with a rotating remainder (deficit round-robin), and
-passes each engine its share — under the continuous scheduler an
-engine whose share shrank below its running set swaps the overflow
-out to per-stream KV state until pressure moves elsewhere.  Because
-every engine keeps its own pad widths and KV buffers, routing is
-bit-invisible: a request's outputs and hardware estimates are
-identical to serving it on that model's engine alone.
+passes each engine its share — an engine whose share shrank below its
+running set swaps the overflow out to per-stream KV state until
+pressure moves elsewhere.  Because every engine keeps its own pad
+widths and KV buffers, routing is bit-invisible: a request's outputs
+and hardware estimates are identical to serving it on that model's
+engine alone.
 
 Routing is also **health-checked**: every engine carries an
 :class:`~repro.serve.health.EngineHealth` circuit breaker fed by its
@@ -91,6 +91,7 @@ class ModelRouter:
         self._clock = clock
         self._admission = admission
         self._routes: dict[int, tuple[str, int]] = {}
+        self._ids: dict[tuple[str, int], int] = {}   # route -> router id
         self._next_id = 0
         self._turn = 0                   # rotating remainder pointer
         self.health = {name: EngineHealth(health) for name in engines}
@@ -170,8 +171,18 @@ class ModelRouter:
     def _track(self, model: str, inner_id: int) -> int:
         router_id = self._next_id
         self._next_id += 1
-        self._routes[router_id] = (model, inner_id)
+        self._route(router_id, model, inner_id)
         return router_id
+
+    def _route(self, router_id: int, model: str, inner_id: int) -> None:
+        self._unroute(router_id)
+        self._routes[router_id] = (model, inner_id)
+        self._ids[(model, inner_id)] = router_id
+
+    def _unroute(self, router_id: int) -> None:
+        route = self._routes.pop(router_id, None)
+        if route is not None:
+            del self._ids[route]
 
     def _reject(self, kind: str, error: Exception) -> int:
         """Mint a router id whose result is already a typed terminal
@@ -285,16 +296,13 @@ class ModelRouter:
         everything else fast, and report the terminated ids.  Nothing
         is ever left to stall in a dead engine's queues."""
         engine = self.engines[name]
-        by_inner = {inner: rid
-                    for rid, (model, inner) in self._routes.items()
-                    if model == name}
         completed: list[int] = []
         fallback = self.fallbacks.get(name)
         if fallback is not None and not self.health[fallback].quarantined:
             target = self.engines[fallback]
             requests, streams = engine.drain_waiting()
             for request in requests:
-                rid = by_inner.get(request.request_id)
+                rid = self._ids.get((name, request.request_id))
                 try:
                     inner = target.submit(request.inputs, request.mask,
                                           now=now,
@@ -306,13 +314,13 @@ class ModelRouter:
                             logits=np.zeros(0), error=reroute_error,
                             reason=REASON_ERROR)
                         completed.append(rid)
-                        del self._routes[rid]
+                        self._unroute(rid)
                     continue
                 self._m_rerouted[name].inc()
                 if rid is not None:
-                    self._routes[rid] = (fallback, inner)
+                    self._route(rid, fallback, inner)
             for stream in streams:
-                rid = by_inner.get(stream.stream_id)
+                rid = self._ids.get((name, stream.stream_id))
                 try:
                     inner = target.open_stream(stream.tokens,
                                                stream.max_new_tokens,
@@ -325,23 +333,18 @@ class ModelRouter:
                             logits=np.zeros(0), error=reroute_error,
                             reason=REASON_ERROR)
                         completed.append(rid)
-                        del self._routes[rid]
+                        self._unroute(rid)
                     continue
                 self._m_rerouted[name].inc()
                 if rid is not None:
-                    self._routes[rid] = (fallback, inner)
+                    self._route(rid, fallback, inner)
         completed += self._completed_ids(name, engine.abort_all(error))
         return completed
 
     # -- advancing ------------------------------------------------------
-    def _stream_demand(self, engine: ServingEngine) -> int:
-        if engine.continuous:
-            running = (len(engine._slots)
-                       if engine._slots is not None else 0)
-        else:                            # round-based: live = has caches
-            running = sum(1 for s in engine._streams.values()
-                          if not s.done and s.caches is not None)
-        return running + engine._batcher.stream_count()
+    @staticmethod
+    def _stream_demand(engine: ServingEngine) -> int:
+        return engine.kv_slots_in_use() + engine._batcher.stream_count()
 
     def _shares(self, demands: dict[str, int]) -> dict[str, int]:
         """Split the step budget across engines with stream demand:
@@ -450,11 +453,8 @@ class ModelRouter:
 
     def _completed_ids(self, model: str, inner_ids: list[int]
                        ) -> list[int]:
-        by_inner = {inner: rid
-                    for rid, (name, inner) in self._routes.items()
-                    if name == model}
-        return [by_inner[inner] for inner in inner_ids
-                if inner in by_inner]
+        return [self._ids[(model, inner)] for inner in inner_ids
+                if (model, inner) in self._ids]
 
     # -- completion -----------------------------------------------------
     def result(self, request_id: int) -> ServeResult | None:
@@ -477,7 +477,7 @@ class ModelRouter:
             raise KeyError(f"unknown request {request_id}")
         model, inner = route
         result = self.engines[model].finish(inner)
-        del self._routes[request_id]
+        self._unroute(request_id)
         return result
 
     # -- observability --------------------------------------------------

@@ -1,16 +1,14 @@
-"""Per-stream decode state: token history, KV caches, slots, swap.
+"""Per-stream decode state: token history, KV slots, swap.
 
-A stream's KV cache is stored unpadded — one (H, length, Dh) array per
-transformer block — and only exists while the stream is live.  The
-round-based scheduler stacks the participating streams into shared
-fixed-capacity buffers per decode round (``stack_caches`` /
-``unstack_caches``); the continuous scheduler instead admits each
-stream into a persistent :class:`KVSlotBuffer` slot once, decodes in
-place step after step, and only copies K/V rows again on eviction or
-preemption (swap-out).  Zero padding beyond each stream's length is
-exact under the masked attention math, so a stream's rows carry the
-same bit patterns regardless of which other streams share the buffer,
-which slot it occupies, or how often it was swapped out and back in.
+The scheduler admits each stream into a persistent
+:class:`KVSlotBuffer` slot once, decodes in place step after step, and
+only copies K/V rows again on eviction or preemption (swap-out), when
+the stream holds its history unpadded — one (H, length, Dh) array per
+transformer block — until it is re-admitted.  Zero padding beyond each
+stream's length is exact under the masked attention math, so a
+stream's rows carry the same bit patterns regardless of which other
+streams share the buffer, which slot it occupies, or how often it was
+swapped out and back in.
 """
 
 from __future__ import annotations
@@ -36,10 +34,12 @@ class StreamState:
     # kernel shapes never depend on batch composition
     kv_capacity: int | None = None
     new_tokens: int = 0
-    caches: list[dict] | None = None    # per block {"k","v": (H, len, Dh)}
-    # continuous-scheduler state: which KVSlotBuffer slot the stream
-    # occupies while running (None while waiting/swapped/finished), and
-    # decode steps taken since it was last (re)admitted — the planner's
+    # swapped-out KV history while preempted: per block
+    # {"k","v": (H, len, Dh)}
+    caches: list[dict] | None = None
+    # scheduler state: which KVSlotBuffer slot the stream occupies
+    # while running (None while waiting/swapped/finished), and decode
+    # steps taken since it was last (re)admitted — the planner's
     # preemption clock
     slot: int | None = None
     steps_since_admit: int = 0
@@ -78,7 +78,8 @@ class StreamState:
                 for record in self.records_by_layer[layer]]
 
     def evict(self) -> None:
-        """Drop the KV caches; the stream keeps only its tokens."""
+        """Drop any swapped-out KV history; the stream keeps only its
+        tokens."""
         self.caches = None
 
     @property
@@ -88,46 +89,10 @@ class StreamState:
         return self.slot is None and self.caches is not None
 
 
-def stack_caches(streams: list[StreamState], capacity: int,
-                 num_blocks: int) -> list[dict]:
-    """Stack per-stream caches into shared scatter-protocol buffers.
-
-    Returns one dict per block: "k"/"v" float buffers of shape
-    (B, H, capacity, Dh) with each stream's history left-aligned at
-    row ``b``, plus "lengths" (B,).
-    """
-    lengths = np.array([s.caches[0]["k"].shape[1] for s in streams],
-                       dtype=np.int64)
-    heads, _, head_dim = streams[0].caches[0]["k"].shape
-    batched: list[dict] = []
-    for block in range(num_blocks):
-        buf_k = np.zeros((len(streams), heads, capacity, head_dim))
-        buf_v = np.zeros_like(buf_k)
-        for b, stream in enumerate(streams):
-            cache = stream.caches[block]
-            size = cache["k"].shape[1]
-            buf_k[b, :, :size] = cache["k"]
-            buf_v[b, :, :size] = cache["v"]
-        batched.append({"k": buf_k, "v": buf_v, "lengths": lengths.copy()})
-    return batched
-
-
-def unstack_caches(streams: list[StreamState],
-                   batched: list[dict]) -> None:
-    """Slice each stream's grown history back out of the shared
-    buffers after a decode step (lengths were advanced in place)."""
-    lengths = batched[0]["lengths"]
-    for b, stream in enumerate(streams):
-        size = int(lengths[b])
-        stream.caches = [{"k": cache["k"][b, :, :size].copy(),
-                          "v": cache["v"][b, :, :size].copy()}
-                         for cache in batched]
-
-
 class KVSlotBuffer:
     """Persistent decode buffer with in-place admit / evict / swap.
 
-    The continuous scheduler's KV home: one pair of fixed-capacity
+    The scheduler's KV home: one pair of fixed-capacity
     ``(slots, H, capacity, Dh)`` buffers per transformer block, with a
     stream pinned to one slot row for as long as it runs.  Occupied
     slots are kept prefix-compact (``streams[i]`` lives in slot ``i``),

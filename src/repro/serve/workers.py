@@ -71,6 +71,7 @@ class WorkerTier:
         self.engines = {f"worker{i}": worker
                         for i, worker in enumerate(self.workers)}
         self._routes: dict[int, tuple[int, int]] = {}
+        self._ids: dict[tuple[int, int], int] = {}   # route -> tier id
         self._next_id = 0
 
     @classmethod
@@ -85,7 +86,7 @@ class WorkerTier:
         ``mmap=True`` loads each replica's weights as read-only
         memory maps of one shared on-disk sidecar instead of private
         heap copies (see :func:`repro.core.engine.load_mmap_state`).
-        ``engine_kwargs`` (``continuous=``, ``step_token_budget=``,
+        ``engine_kwargs`` (``step_token_budget=``, ``preempt_after=``,
         ``slo=``, ``estimate_hardware=``, ``registry=``, ``tracer=``,
         ...) configure every worker's
         :class:`~repro.serve.engine.ServingEngine` identically; pass a
@@ -122,6 +123,7 @@ class WorkerTier:
         tier_id = self._next_id
         self._next_id += 1
         self._routes[tier_id] = (worker, inner_id)
+        self._ids[(worker, inner_id)] = tier_id
         return tier_id
 
     def submit(self, inputs: np.ndarray, mask: np.ndarray | None = None,
@@ -192,11 +194,8 @@ class WorkerTier:
 
     def _completed_ids(self, worker: int,
                        inner_ids: list[int]) -> list[int]:
-        by_inner = {inner: tid
-                    for tid, (index, inner) in self._routes.items()
-                    if index == worker}
-        return [by_inner[inner] for inner in inner_ids
-                if inner in by_inner]
+        return [self._ids[(worker, inner)] for inner in inner_ids
+                if (worker, inner) in self._ids]
 
     # -- completion -----------------------------------------------------
     def result(self, request_id: int) -> ServeResult | None:
@@ -213,6 +212,7 @@ class WorkerTier:
         worker, inner = route
         result = self.workers[worker].finish(inner)
         del self._routes[request_id]
+        del self._ids[route]
         return result
 
     # -- observability --------------------------------------------------

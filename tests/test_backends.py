@@ -5,8 +5,7 @@ bit-identical to the scalar reference trace
 (``bitserial_dot_product``) — these tests pin that contract on
 randomized tiles and on the edge cases the tile simulator actually
 hits (sign-only first cycles, over-wide groups, fully-pruned tiles,
-empty/partial valid masks, aggressive margins).  The ``numba`` column
-of the matrix runs only where numba is installed.
+empty/partial valid masks, aggressive margins).
 """
 
 import numpy as np
@@ -16,15 +15,7 @@ from repro.hw import backends
 from repro.hw.bitserial import (bitserial_cycles_matrix,
                                 bitserial_dot_product, serial_cycle_count)
 
-KNOWN_BACKENDS = ("numpy-ref", "numpy-packed", "numba", "torch")
-
-BACKENDS = [
-    pytest.param(name, marks=() if name in backends.list_backends()
-                 else pytest.mark.skip(reason=f"{name} not registered "
-                                              "(optional dependency "
-                                              "missing)"))
-    for name in KNOWN_BACKENDS
-]
+BACKENDS = ("numpy-ref", "numpy-packed")
 
 
 def run(name, q, k, threshold, magnitude_bits, group, **kwargs):

@@ -4,8 +4,9 @@ A stream served by the continuous scheduler — admitted into a
 partially-filled decode batch, shuffled across KV slots, preempted to
 swapped-out state and resumed — must be *bit-identical* (tokens,
 logits, pruning masks, hardware estimates) to the same stream served
-alone, and to the round-based scheduler, under staggered arrivals,
-preemption/resume, and multi-model routing."""
+alone, and its tokens must equal the model's own greedy ``generate``,
+under staggered arrivals, preemption/resume, and multi-model
+routing."""
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def make_continuous(engine, max_batch_size, preempt_after=None,
         engine, BatchPolicy(max_batch_size=max_batch_size, max_wait=0.0,
                             **policy_kwargs),
         estimate_hardware=True, clock=lambda: clock[0],
-        continuous=True, preempt_after=preempt_after, pressure=pressure)
+        preempt_after=preempt_after, pressure=pressure)
     return serving, clock
 
 
@@ -54,7 +55,7 @@ def assert_streams_identical(got, expected):
 
 
 # ---------------------------------------------------------------------------
-# continuous vs solo / round-based equivalence
+# continuous vs solo / model.generate equivalence
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -72,15 +73,32 @@ def test_continuous_staggered_bit_identical_to_solo(seed):
     assert serving.stats.max_batch_size >= 2
 
 
-def test_continuous_matches_round_based_per_stream():
-    engine = make_lm_engine(2)
-    rng = np.random.default_rng(2)
-    prompts = [rng.integers(1, 40, size=int(n))
-               for n in rng.integers(1, 9, size=7)]
-    round_based, _ = serve_streams(engine, prompts, 5, max_batch_size=4)
-    serving, _ = make_continuous(engine, max_batch_size=4)
-    got = run_staggered(serving, prompts, 5, arrive_every=2)
-    assert_streams_identical(got, round_based)
+def test_continuous_matches_model_generate_per_stream():
+    """A reference that owes nothing to the scheduler: each stream's
+    served tokens equal the model's own greedy ``generate`` on that
+    prompt alone."""
+    for seed in (0, 1, 2):
+        engine = make_lm_engine(seed)
+        rng = np.random.default_rng(seed)
+        prompts = [rng.integers(1, 40, size=int(n))
+                   for n in rng.integers(1, 9, size=8)]
+        serving, _ = make_continuous(engine, max_batch_size=4)
+        got = run_staggered(serving, prompts, 5, arrive_every=2)
+        for prompt, result in zip(prompts, got):
+            np.testing.assert_array_equal(
+                result.tokens, engine.model.generate(prompt[None], 5)[0])
+
+
+def test_continuous_is_the_only_stream_scheduler():
+    engine = make_lm_engine(0)
+    with pytest.raises(ValueError, match="round-based"):
+        ServingEngine(engine, continuous=False)
+    serving = ServingEngine(engine, BatchPolicy(max_batch_size=2,
+                                                max_wait=0.0))
+    stream_id = serving.open_stream(np.arange(1, 4), 3)
+    serving.drain()
+    assert serving.finish(stream_id).ok
+    assert serving.stats.steps > 0          # the step planner ran
 
 
 def test_preemption_and_resume_stay_bit_identical():
@@ -168,13 +186,11 @@ def test_router_bit_identical_under_shared_budget():
         {"a": ServingEngine(lm_a, BatchPolicy(max_batch_size=4,
                                               max_wait=0.0),
                             estimate_hardware=True,
-                            clock=lambda: clock[0], continuous=True,
-                            preempt_after=3),
+                            clock=lambda: clock[0], preempt_after=3),
          "b": ServingEngine(lm_b, BatchPolicy(max_batch_size=4,
                                               max_wait=0.0),
                             estimate_hardware=True,
-                            clock=lambda: clock[0], continuous=True,
-                            preempt_after=3)},
+                            clock=lambda: clock[0], preempt_after=3)},
         step_budget=4, clock=lambda: clock[0])
     ids_a = [router.open_stream(p, 5, model="a") for p in prompts_a]
     ids_b = [router.open_stream(p, 5, model="b") for p in prompts_b]
@@ -187,8 +203,7 @@ def test_router_bit_identical_under_shared_budget():
 
 def test_router_routes_by_model_and_rejects_unknown():
     router = ModelRouter({"lm": ServingEngine(
-        make_lm_engine(0), BatchPolicy(max_batch_size=2, max_wait=0.0),
-        continuous=True)})
+        make_lm_engine(0), BatchPolicy(max_batch_size=2, max_wait=0.0))})
     rng = np.random.default_rng(0)
     with pytest.raises(KeyError, match="unknown model"):
         router.open_stream(rng.integers(1, 40, size=3), 2, model="nope")
@@ -317,7 +332,7 @@ def test_finish_releases_slot_and_waiting_stream():
     waiting = serving.open_stream(rng.integers(1, 40, size=3), 10)
     assert serving._streams[running].slot is not None
     serving.finish(running)                 # client hangs up mid-decode
-    assert len(serving._slots) == 0
+    assert serving.kv_slots_in_use() == 0
     serving.finish(waiting)                 # hangs up before admission
     assert serving._batcher.stream_count() == 0
     assert not serving.has_pending()

@@ -17,18 +17,9 @@ from repro.hw import backends
 from repro.hw.backends import (KernelJob, PlaneGroupCache,
                                matrix_many_loop, run_many)
 from repro.hw.backends.packed_common import (fused_matrix_many,
-                                             numpy_batched_gemm,
                                              pack_planes, plane_spec)
 
-KNOWN_BACKENDS = ("numpy-ref", "numpy-packed", "numba", "torch")
-
-BACKENDS = [
-    pytest.param(name, marks=() if name in backends.list_backends()
-                 else pytest.mark.skip(reason=f"{name} not registered "
-                                              "(optional dependency "
-                                              "missing)"))
-    for name in KNOWN_BACKENDS
-]
+BACKENDS = ("numpy-ref", "numpy-packed")
 
 
 def assert_job_matches(actual, expected, context=""):
@@ -146,9 +137,9 @@ def test_fused_cached_matches_uncached():
                       pack_key=("stream", i))
             for i, s_k in enumerate((12, 20, 12, 33, 20, 7))]
     cache = PlaneGroupCache()
-    cold = fused_matrix_many(jobs, numpy_batched_gemm, cache=cache)
-    warm = fused_matrix_many(jobs, numpy_batched_gemm, cache=cache)
-    bare = fused_matrix_many(jobs, numpy_batched_gemm)
+    cold = fused_matrix_many(jobs, cache=cache)
+    warm = fused_matrix_many(jobs, cache=cache)
+    bare = fused_matrix_many(jobs)
     loop = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
     for i in range(len(jobs)):
         assert_job_matches(cold[i], loop[i], f"(cold, job={i})")

@@ -157,9 +157,9 @@ def test_kernel_profiler_aggregates_per_backend():
     profiler = KernelProfiler(registry=registry)
     profiler.record("numpy-packed", jobs=4, groups=2, elapsed_s=1e-4)
     profiler.record("numpy-packed", jobs=8, groups=1, elapsed_s=3e-4)
-    profiler.record("torch", jobs=2, groups=2, elapsed_s=2e-4)
+    profiler.record("numpy-ref", jobs=2, groups=2, elapsed_s=2e-4)
     summary = profiler.summary()
-    assert list(summary) == ["numpy-packed", "torch"]
+    assert list(summary) == ["numpy-packed", "numpy-ref"]
     row = summary["numpy-packed"]
     assert row["calls"] == 2 and row["jobs"] == 12
     assert row["max_jobs_per_call"] == 8
@@ -198,7 +198,7 @@ def run_traced_tier(snapshot, registry, tracer):
     tier = WorkerTier.from_snapshot(
         snapshot, replicas=2,
         policy=BatchPolicy(max_batch_size=4, max_wait=0.0),
-        clock=clock, continuous=True, step_token_budget=32,
+        clock=clock, step_token_budget=32,
         registry=registry, tracer=tracer)
     trace = TraceSpec(seed=3, requests=24, process="bursty")
     return replay_trace(tier, trace, clock=clock)
@@ -272,7 +272,7 @@ def test_scheduler_and_slo_metrics_publish(snapshot):
     clock = VirtualClock()
     serving = ServingEngine(
         engine, BatchPolicy(max_batch_size=2, max_wait=0.0),
-        clock=clock, continuous=True, step_token_budget=8,
+        clock=clock, step_token_budget=8,
         slo=SLOAdmission(ttft_target=10.0), registry=registry)
     rng = np.random.default_rng(1)
     ids = [serving.open_stream(rng.integers(1, 40, size=3),

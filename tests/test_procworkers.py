@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import PrunedInferenceEngine
+from repro.core.engine import load_mmap_state
 from repro.serve import (BatchPolicy, ProcessWorkerTier, REASON_CANCELLED,
                          REASON_ERROR, REASON_OK, ServingEngine,
                          WorkerTier)
@@ -40,7 +41,6 @@ def snapshot(tmp_path_factory):
 
 def make_proc_tier(snapshot, replicas=2, **kwargs):
     clock = VirtualClock()
-    kwargs.setdefault("continuous", True)
     kwargs.setdefault("step_token_budget", 16)
     tier = ProcessWorkerTier.from_snapshot(
         snapshot, replicas=replicas,
@@ -51,7 +51,6 @@ def make_proc_tier(snapshot, replicas=2, **kwargs):
 
 def make_inproc_tier(snapshot, replicas=2, **kwargs):
     clock = VirtualClock()
-    kwargs.setdefault("continuous", True)
     kwargs.setdefault("step_token_budget", 16)
     tier = WorkerTier.from_snapshot(
         snapshot, replicas=replicas,
@@ -354,6 +353,35 @@ def test_mmap_from_directory_is_readonly_and_bit_identical(snapshot):
     tokens = np.arange(1, 6, dtype=np.int64)[None, :]
     np.testing.assert_array_equal(mapped.model.logits(tokens).data,
                                   plain.model.logits(tokens).data)
+
+
+def _open_cold(directory, barrier):
+    barrier.wait()
+    state = load_mmap_state(directory)
+    with np.load(os.path.join(directory, "weights.npz")) as saved:
+        assert sorted(state) == sorted(saved.files)
+        for name in saved.files:
+            np.testing.assert_array_equal(state[name], saved[name])
+
+
+@needs_fork
+def test_cold_mmap_openers_all_map_the_snapshot(tmp_path):
+    """Processes opening a fresh snapshot at the same moment each
+    expand the sidecar; a late expander must never delete the sidecar
+    an earlier one published while a sibling maps it."""
+    ctx = multiprocessing.get_context("fork")
+    for trial in range(10):
+        directory = str(tmp_path / f"trial{trial}")
+        make_lm_engine(trial).save(directory)
+        barrier = ctx.Barrier(4)
+        openers = [ctx.Process(target=_open_cold,
+                               args=(directory, barrier))
+                   for _ in range(4)]
+        for opener in openers:
+            opener.start()
+        for opener in openers:
+            opener.join(timeout=60)
+        assert [o.exitcode for o in openers] == [0] * 4, trial
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),

@@ -1,5 +1,5 @@
 """Property-style serving queue tests: the wait-bound flush (no
-starvation), FIFO pops, KV-cache eviction on completion/finish, and
+starvation), FIFO pops, KV-slot release on completion/finish, and
 schedule-independent results — all driven by a virtual clock."""
 
 import asyncio
@@ -71,11 +71,13 @@ def test_stream_caches_evicted_on_completion():
     rng = np.random.default_rng(3)
     ids = [serving.open_stream(rng.integers(1, 40, size=3),
                                max_new_tokens=4) for _ in range(3)]
-    serving.step()                         # prefill + first decode round
+    serving.step()                         # prefill + first decode step
     live = [serving._streams[i] for i in ids]
-    assert all(s.caches is not None for s in live)
+    assert all(s.slot is not None for s in live)
+    assert serving.kv_slots_in_use() == 3
     serving.drain()
-    assert all(s.caches is None for s in live)   # evicted at completion
+    assert all(s.slot is None for s in live)     # evicted at completion
+    assert serving.kv_slots_in_use() == 0
     for stream_id in ids:
         assert len(serving.finish(stream_id).tokens) == 3 + 4
     assert serving._streams == {}          # finish released all state
@@ -88,9 +90,11 @@ def test_finish_stops_stream_early_and_evicts():
                                     max_new_tokens=20)
     serving.step()                         # prefill (+1) and decode (+1)
     state = serving._streams[stream_id]
-    assert state.caches is not None
+    assert state.slot is not None
+    assert serving.kv_slots_in_use() == 1
     result = serving.finish(stream_id)     # client hangs up early
-    assert state.caches is None
+    assert state.slot is None
+    assert serving.kv_slots_in_use() == 0
     assert len(result.tokens) == 4 + 2
     assert serving._streams == {}
     assert not serving.has_pending()
