@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
+from ..hw.backends import DEFAULT_BACKEND
 from ..tensor import no_grad
 
 #: (sidecar path, npz stamp) -> {name: read-only memmap array}.  A second
@@ -125,7 +126,7 @@ class HardwareEstimate:
     baseline_energy_pj: float = 0.0
     # which kernel backend (repro.hw.backends) produced the estimate —
     # serving metadata keeps hardware numbers attributable/reproducible
-    kernel_backend: str = "numpy-ref"
+    kernel_backend: str = DEFAULT_BACKEND
 
 
 class PrunedInferenceEngine:

@@ -13,15 +13,20 @@ backend.
 
 Shipped backends:
 
+``numpy-packed``
+    the default, and the fast path: each DPU cycle's plane group
+    sliced out of the sign-magnitude keys as one unscaled field
+    ``sign * ((|k| >> lo) & (2^n - 1))``, one fused GEMM over the
+    stacked fields, and an integer scan for the margin/termination
+    sweep that applies the exact ``2^lo`` weights.  The GEMMs run in
+    float32 while ``qmax * (2^group - 1) * D < 2^24`` (every serving
+    shape: |q| <= 2047, D = 64, 2 planes per cycle) and in float64
+    past it.  ≥2x the reference at paper-scale tiles (S=512-1280),
+    pinned by ``benchmarks/test_kernel_micro.py``.
 ``numpy-ref``
     the original O(bit-planes) einsum kernel — the reference
-    semantics, and the default.
-``numpy-packed``
-    the fast path: sign-magnitude key planes packed into per-cycle
-    plane-group words, one fused GEMM over the per-key plane cache,
-    and an integer scan for the margin/termination sweep.  ≥2x the
-    reference at paper-scale tiles (S=512-1280), pinned by
-    ``benchmarks/test_kernel_micro.py``.
+    semantics, kept as the test oracle every backend is pinned
+    against.
 
 Selection precedence: an explicit ``backend=`` argument
 (``TileSimulator``, ``bitserial_cycles_matrix``), then
@@ -49,7 +54,7 @@ from typing import Any, Protocol, runtime_checkable
 import numpy as np
 
 ENV_VAR = "REPRO_KERNEL_BACKEND"
-DEFAULT_BACKEND = "numpy-ref"
+DEFAULT_BACKEND = "numpy-packed"
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,12 +3,11 @@
 Same semantics as ``numpy-ref``, restructured around the shared
 machinery in :mod:`repro.hw.backends.packed_common`:
 
-1. **Packed sign-magnitude words + a per-key plane cache.**  Keys are
-   packed into sign-magnitude words (sign bit above the magnitude
-   field) once, and each DPU cycle's plane group is sliced out of the
-   words as one integer field — ``sign * ((mag >> lo) & mask)``
-   scaled by ``2^lo`` — so the kernel touches O(cycles) small key
-   matrices instead of O(bit-planes) full plane tensors.  With a
+1. **Packed plane-group fields + a per-key plane cache.**  Each DPU
+   cycle's plane group is sliced out of the sign-magnitude keys as one
+   unscaled integer field — ``sign * ((|k| >> lo) & (2^n - 1))`` —
+   so the kernel touches O(cycles) small key matrices instead of
+   O(bit-planes) full plane tensors.  With a
    :class:`~repro.hw.backends.PlaneGroupCache` the pack happens once
    per key matrix and decode steps append only the new suffix rows.
 
@@ -18,17 +17,20 @@ machinery in :mod:`repro.hw.backends.packed_common`:
    matrix products — and ``matrix_many`` goes further, stacking every
    job that shares a head-dim/plane schedule into one banded
    block-diagonal batched GEMM, amortizing per-call BLAS and Python
-   overhead across the many small tiles of a serving step.  When every
-   product provably fits float32's 24-bit exact-integer window the
-   GEMMs run in float32 at twice the dgemm throughput — the
-   power-of-two plane scaling only shifts the exponent, so exactness
-   is preserved and results stay bit-identical.
+   overhead across the many small tiles of a serving step.  The
+   fields are at most ``2^group - 1``, so every product fits float32's
+   24-bit exact-integer window while ``qmax * (2^group - 1) * D <
+   2^24`` and the GEMMs run in float32 at twice the dgemm throughput
+   (at serving shapes, always); past the window they run in float64.
 
 3. **Integer margin scan.**  The margin/termination sweep — the other
    half of the runtime — runs in int32 whenever partial sums, margins
    and the threshold provably fit, halving the memory traffic of the
-   float64 passes.  A cycle count falls out of a running
-   "terminated-by-cycle" counter instead of per-cycle fancy indexing.
+   float64 passes.  It applies each field's ``2^lo`` weight as it
+   reads the GEMM result — a power-of-two scaling only shifts the
+   exponent, so it is exact in every dtype.  A cycle count falls out
+   of a running "terminated-by-cycle" counter instead of per-cycle
+   fancy indexing.
 
 Anything outside the provable-exactness windows (huge queries,
 ``margin_scale != 1``, non-finite thresholds) falls back to float64

@@ -32,6 +32,19 @@ windows the dtype selection proves, so fusing, padding with zero
 rows, or switching scan dtype cannot change a single output bit
 relative to the per-job ``matrix`` loop.  ``tests/test_fused.py`` pins
 this on randomized mixed-shape job sets.
+
+**Unscaled plane groups.**  The packed stack holds each cycle's
+plane-group field ``sign * ((|k| >> lo) & (2^n - 1))`` *without* its
+``2^lo`` weight; the scan applies the weight when it copies a GEMM
+result into its lanes.  Scaling by a power of two is exact in every
+dtype involved, so this changes no result, but it shrinks the GEMM
+operands from scaled group values (at least ``2^(magnitude_bits - 1)``
+for the top group) to at most ``2^group - 1``: the float32 window is
+``qmax * (2^group - 1) * D < 2^24``.  At serving shapes
+(12-bit datapath, 2 planes per cycle, |q| <= 2047, D = 64) every GEMM
+therefore runs in float32 (Ozaki et al., "Error-free transformations
+of matrix multiplication", Numer. Algorithms 2012: slice the operands
+until every floating-point product is exact).
 """
 
 from __future__ import annotations
@@ -74,7 +87,8 @@ class PlaneSpec:
     # the cycles that carry magnitude planes, in schedule order
     mag_groups: tuple[tuple[int, int], ...]
     full_cycles: int
-    group_max: int
+    # largest unscaled plane-group field, 2^n - 1 over the cycles
+    field_max: int
 
     @property
     def n_groups(self) -> int:
@@ -95,10 +109,9 @@ def plane_spec(magnitude_bits: int, group: int) -> PlaneSpec:
             planes = [p for p in chunk if p >= 0]
             cycle_groups.append((len(planes), planes[-1] if planes else 0))
         mag_groups = tuple((n, lo) for n, lo in cycle_groups if n)
-        group_max = max((((1 << n) - 1) << lo for n, lo in mag_groups),
-                        default=0)
+        field_max = max(((1 << n) - 1 for n, _ in mag_groups), default=0)
         spec = PlaneSpec(magnitude_bits, group, tuple(cycle_groups),
-                         mag_groups, len(schedule), group_max)
+                         mag_groups, len(schedule), field_max)
         _SPECS[key] = spec
     return spec
 
@@ -107,27 +120,24 @@ def pack_planes(k: np.ndarray, spec: PlaneSpec) -> np.ndarray:
     """Pack a key matrix into its plane-group stack.
 
     Returns ``(n_groups + 1, s_k, dim)``: one per-cycle plane-group
-    value matrix per magnitude cycle, the sign plane last.  Stored in
-    float32 whenever plane values fit its exact-integer window (always
-    true for magnitude_bits < 24) so cached stacks feed float32 GEMMs
-    without conversion; the float64 upcast for huge-query chunks is
-    exact either way.
+    field matrix ``sign * ((|k| >> lo) & (2^n - 1))`` per magnitude
+    cycle, unscaled (the scan applies ``2^lo``), the sign plane last.
+    Stored in float32 whenever the fields fit its exact-integer window
+    (always, for groups narrower than 24 planes) so cached stacks feed
+    float32 GEMMs without conversion; the float64 upcast for huge-query
+    chunks is exact either way.
     """
     k = np.asarray(k, dtype=np.int64)
     signs = np.sign(k)
-    # sign bit above the magnitudes; masking matches the reference,
-    # which only ever reads the magnitude_bits planes of an
-    # out-of-range key
-    field_mask = (np.int64(1) << spec.magnitude_bits) - 1
-    words = np.where(signs < 0, np.int64(1) << spec.magnitude_bits,
-                     np.int64(0)) | (np.abs(k) & field_mask)
-    dtype = np.float32 if spec.group_max < _F32_EXACT else np.float64
+    # masking to magnitude_bits matches the reference, which only ever
+    # reads the magnitude_bits planes of an out-of-range key
+    magnitudes = np.abs(k) & ((np.int64(1) << spec.magnitude_bits) - 1)
+    dtype = np.float32 if spec.field_max < _F32_EXACT else np.float64
     s_k, dim = k.shape
     stacked = np.empty((spec.n_groups + 1, s_k, dim), dtype=dtype)
     for index, (n, lo) in enumerate(spec.mag_groups):
-        field = (words >> lo) & ((np.int64(1) << n) - 1)
-        np.multiply(signs * field, np.int64(1) << lo,
-                    out=stacked[index], casting="unsafe")
+        field = (magnitudes >> lo) & ((np.int64(1) << n) - 1)
+        np.multiply(signs, field, out=stacked[index], casting="unsafe")
     stacked[spec.n_groups] = signs
     return stacked
 
@@ -315,7 +325,7 @@ def _stage_chunk(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
     rows_pad = (n_groups + 1) * s_k_pad
     qmax = max(p.qmax for p in chunk)
     # max(..., 2) also covers the |q|@|s| + q@s sum inside `positive`
-    f32_ok = qmax * max(spec.group_max, 2) * max(dim, 1) < _F32_EXACT
+    f32_ok = qmax * max(spec.field_max, 2) * max(dim, 1) < _F32_EXACT
     gemm_dtype = np.float32 if f32_ok else np.float64
 
     use_cache = cache is not None and any(
@@ -361,20 +371,18 @@ def _stage_chunk(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
             q_stack[i, :prep.q.shape[0]] = prep.q
             k_stack[i, :prep.k.shape[0]] = prep.k
         signs = np.sign(k_stack)
-        field_mask = key_dtype((1 << spec.magnitude_bits) - 1)
-        words = np.where(signs < 0,
-                         key_dtype(1 << spec.magnitude_bits),
-                         key_dtype(0)) | (np.abs(k_stack) & field_mask)
+        magnitudes = np.abs(k_stack)
+        np.bitwise_and(magnitudes,
+                       key_dtype((1 << spec.magnitude_bits) - 1),
+                       out=magnitudes)
         plane_stack = np.empty((n, rows_pad, dim), dtype=gemm_dtype)
         view = plane_stack.reshape(n, n_groups + 1, s_k_pad, dim)
-        field = np.empty_like(words)
+        field = np.empty_like(magnitudes)
         for idx, (n_planes, lo) in enumerate(spec.mag_groups):
-            np.right_shift(words, lo, out=field)
+            np.right_shift(magnitudes, lo, out=field)
             np.bitwise_and(field, key_dtype((1 << n_planes) - 1),
                            out=field)
-            np.multiply(field, signs, out=field)
-            np.multiply(field, key_dtype(1) << lo,
-                        out=view[:, idx], casting="unsafe")
+            np.multiply(field, signs, out=view[:, idx], casting="unsafe")
         view[:, n_groups] = signs
         abs_sign_stack = np.abs(signs).astype(gemm_dtype)
 
@@ -411,9 +419,10 @@ def _scan_group(staged: list[_StagedChunk], spec: PlaneSpec,
         scan_dtype = np.float64
 
     # concatenate every chunk's (padded) score lanes into flat scan
-    # arrays: one fused cast-copy per plane row per chunk, then a
-    # single scan regardless of how many shape bands the group split
-    # into
+    # arrays: one fused scale-and-cast copy per plane row per chunk
+    # (the 2^lo plane weight is exact in the GEMM dtype: it only
+    # shifts the exponent), then a single scan regardless of how many
+    # shape bands the group split into
     total = sum(len(st.preps) * st.s_q_pad * st.s_k_pad
                 for st in staged)
     plane_flat = np.empty((n_groups, total), dtype=scan_dtype)
@@ -424,10 +433,11 @@ def _scan_group(staged: list[_StagedChunk], spec: PlaneSpec,
         n, sqp, skp = len(st.preps), st.s_q_pad, st.s_k_pad
         pairs = n * sqp * skp
         shape = (n, sqp, skp)
-        for g in range(n_groups):
-            np.copyto(plane_flat[g, offset:offset + pairs]
-                      .reshape(shape), st.fused[:, :, g, :],
-                      casting="unsafe")
+        weight = st.fused.dtype.type
+        for g, (_, lo) in enumerate(spec.mag_groups):
+            np.multiply(st.fused[:, :, g, :], weight(1 << lo),
+                        out=plane_flat[g, offset:offset + pairs]
+                        .reshape(shape), casting="unsafe")
         np.copyto(positive_flat[offset:offset + pairs].reshape(shape),
                   st.positive, casting="unsafe")
         if int_scan:

@@ -9,9 +9,9 @@ Two entry points into the same hardware semantics:
   backend must reproduce bit-for-bit.
 * ``bitserial_cycles_matrix`` — the hot path.  Evaluates an entire
   S_q x S_k score tile through a pluggable kernel backend
-  (:mod:`repro.hw.backends`): ``numpy-ref`` is the original
-  O(bit-planes) einsum kernel and the test oracle, ``numpy-packed``
-  the packed-bitplane fast path.  Select with the
+  (:mod:`repro.hw.backends`): ``numpy-packed``, the packed-bitplane
+  fast path, is the default; ``numpy-ref``, the original
+  O(bit-planes) einsum kernel, is the test oracle.  Select with the
   ``backend=`` argument, ``TileConfig.kernel_backend``, or the
   ``REPRO_KERNEL_BACKEND`` environment variable.
 
@@ -133,9 +133,11 @@ def bitserial_cycles_matrix(q, k, threshold: float, magnitude_bits: int,
 
     ``backend`` picks the kernel implementation by registry name
     (:mod:`repro.hw.backends`); ``None`` follows the
-    ``REPRO_KERNEL_BACKEND`` environment variable and defaults to the
-    ``numpy-ref`` reference kernel.  Every registered backend returns
-    bit-identical results on integer inputs whose scores stay inside
+    ``REPRO_KERNEL_BACKEND`` environment variable and defaults to
+    ``numpy-packed``, whose GEMMs run in float32 while
+    ``qmax * (2^group - 1) * D < 2^24`` and in float64 past it.  Every
+    registered backend returns results bit-identical to the
+    ``numpy-ref`` oracle on integer inputs whose scores stay inside
     float64's exact-integer window.
     """
     from .backends import get_backend

@@ -234,6 +234,7 @@ class ServingEngine:
         self._bind_metrics()
         # per-engine pack-once plane cache: decode-step estimates of
         # the same stream reuse packed key bit-planes across steps
+        # (generate streams only; classify estimates run cacheless)
         self._pack_cache = (PlaneGroupCache(counters=self._pack_counters)
                             if estimate_hardware else None)
         self._clock = clock
@@ -791,15 +792,15 @@ class ServingEngine:
             # per-step accounting: slice this batch's records into one
             # group per request and charge them in a single shared-
             # simulator pass (each group's estimate is bit-identical
-            # to a solo estimate of that request)
+            # to a solo estimate of that request).  No pack cache: a
+            # classify request's keys never recur, so caching them
+            # would only cost a per-job pack and resident memory
             slices = [[slice_record(r, i, int(batch.lengths[i]),
                                     int(batch.lengths[i]))
                        for r in records]
                       for i in range(len(requests))]
             estimates = self.engine.estimate_many(
-                slices, self._hw_config, pack_cache=self._pack_cache,
-                pack_groups=[r.request_id for r in requests],
-                profiler=self._profiler)
+                slices, self._hw_config, profiler=self._profiler)
         completed = []
         for i, request in enumerate(requests):
             length = int(batch.lengths[i])

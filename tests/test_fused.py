@@ -149,6 +149,84 @@ def test_fused_cached_matches_uncached():
 
 
 # ---------------------------------------------------------------------------
+# the float32 GEMM window: qmax * max(2^group - 1, 2) * D < 2^24
+# ---------------------------------------------------------------------------
+
+# (largest |q|, GEMM dtype) at D = 64, 12-bit datapath, 2 planes per
+# cycle: 2047 is the serving datapath, 87381 * 3 * 64 = 2^24 - 64 is
+# the last qmax inside the window, 87382 the first past it
+F32_EDGE = [(2047, np.float32), (87381, np.float32), (87382, np.float64)]
+
+
+def _window_jobs(qmax, rng):
+    """Jobs whose plane-group GEMMs reach the window's bound: every
+    |q| = qmax and every |k| = 2047 (all plane fields 3) with matching
+    signs, so each dot product sums 64 maximal same-sign terms, plus
+    random tiles, a causal mask and a decode-shaped grown-K pair."""
+    dim = 64
+    signs = rng.choice((-1, 1), dim)
+    q_max = np.tile(signs * qmax, (3, 1))
+    k_max = np.tile(signs * 2047, (5, 1))
+    k_max[1] = -k_max[1]                        # most negative score
+    jobs = [KernelJob(q=q_max, k=k_max, threshold=0.0,
+                      magnitude_bits=11, group=2, pack_key=("max", 0))]
+    for index in range(4):
+        s_q = int(rng.integers(1, 9))
+        s_k = int(rng.integers(1, 24))
+        q = rng.integers(-qmax, qmax + 1, (s_q, dim))
+        q[0, 0] = qmax
+        k = rng.integers(-2047, 2048, (s_k, dim))
+        valid = (np.tril(np.ones((s_q, s_k), dtype=bool))
+                 if index == 1 else None)
+        jobs.append(KernelJob(
+            q=q, k=k, threshold=float(rng.integers(-qmax, qmax) * 3000),
+            magnitude_bits=11, group=2, valid=valid,
+            pack_key=("rand", index)))
+    grown = rng.integers(-2047, 2048, (12, dim))
+    for s_k in (8, 12):                         # K grows by a suffix
+        q = rng.integers(-qmax, qmax + 1, (1, dim))
+        q[0, 0] = -qmax
+        jobs.append(KernelJob(
+            q=q, k=grown[:s_k], threshold=0.0, magnitude_bits=11,
+            group=2, pack_key=("grown", 0)))
+    return jobs
+
+
+@pytest.mark.parametrize("qmax,dtype", F32_EDGE)
+def test_f32_window_edge_is_bit_identical(qmax, dtype, monkeypatch):
+    """On both sides of the float32 window's edge, the packed kernel
+    picks the expected GEMM dtype and stays bit-identical to numpy-ref
+    through ``matrix`` and ``fused_matrix_many``, cached or not."""
+    from repro.hw.backends import packed_common
+
+    seen = []
+    gemm = packed_common._gemm
+
+    def recording_gemm(a, b):
+        seen.append(a.dtype)
+        return gemm(a, b)
+
+    monkeypatch.setattr(packed_common, "_gemm", recording_gemm)
+    jobs = _window_jobs(qmax, np.random.default_rng(qmax))
+    reference = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
+    packed = backends.get_backend("numpy-packed")
+    solo = matrix_many_loop(packed, jobs)
+    bare = fused_matrix_many(jobs)
+    cache = PlaneGroupCache()
+    cold = fused_matrix_many(jobs, cache=cache)
+    warm = fused_matrix_many(jobs, cache=cache)
+    assert cache.stats()["hits"] > 0 and cache.stats()["extended"] > 0
+    assert seen and set(seen) == {np.dtype(dtype)}
+    for i, expected in enumerate(reference):
+        for name, result in (("matrix", solo), ("bare", bare),
+                             ("cold", cold), ("warm", warm)):
+            assert_job_matches(result[i], expected,
+                               f"(qmax={qmax}, {name}, job={i})")
+    # the all-maximal tile really reaches the window's bound
+    assert reference[0][2].max() == qmax * 2047 * 64
+
+
+# ---------------------------------------------------------------------------
 # pack-once plane-group cache semantics
 # ---------------------------------------------------------------------------
 

@@ -191,3 +191,40 @@ def test_traffic_totals_aggregate_per_request():
     assert totals.speedup_vs_baseline > 1.0
     assert serving.stats.batches == 2
     assert serving.stats.mean_batch_size == 4.0
+
+
+def test_classify_estimates_bypass_pack_cache():
+    """Classify keys never recur, so hardware estimates of classify
+    traffic leave the engine's pack cache untouched (no entries, no
+    lookups) — and still equal solo estimates and the numpy-ref
+    oracle.  Generate streams keep using the cache at finalize."""
+    import dataclasses
+
+    from repro.hw import AE_LEOPARD
+
+    engine = make_classifier_engine(0)
+    rng = np.random.default_rng(13)
+    requests = [rng.integers(0, 50, size=int(n))
+                for n in rng.integers(1, MAX_SEQ + 1, size=9)]
+    batched, serving = serve_classify(engine, requests, max_batch_size=4)
+    solo, _ = serve_classify(engine, requests, max_batch_size=1)
+    assert serving._pack_cache.stats() == {
+        "hits": 0, "extended": 0, "misses": 0, "entries": 0}
+    oracle = dataclasses.replace(AE_LEOPARD, kernel_backend="numpy-ref")
+    for got, expected in zip(batched, solo):
+        assert got.hardware == expected.hardware
+        reference = engine.estimate_from_records(got.records, oracle)
+        assert dataclasses.replace(
+            got.hardware, kernel_backend="numpy-ref") == reference
+
+    # the fused kernel is the one that reads the cache, whatever
+    # backend the environment selects
+    streams = ServingEngine(
+        make_lm_engine(0), BatchPolicy(max_batch_size=2, max_wait=0.0),
+        estimate_hardware=True,
+        hw_config=dataclasses.replace(AE_LEOPARD,
+                                      kernel_backend="numpy-packed"))
+    streams.open_stream(rng.integers(0, 40, size=5), 3)
+    streams.drain()
+    stats = streams._pack_cache.stats()
+    assert stats["misses"] > 0 and stats["entries"] > 0
