@@ -2,10 +2,11 @@
 persistent KV slot buffer in front of ``PrunedInferenceEngine``;
 streams run on a step-planned continuous scheduler,
 ``ModelRouter`` fronts several engines behind one queue discipline
-with health-checked routing, ``WorkerTier`` scales one model across
-shared-nothing engine replicas (``ProcessWorkerTier`` puts each
-replica in its own OS process over a binary socket protocol, sharing
-one memory-mapped snapshot), and the reliability layer adds
+with health-checked routing, one replica tier scales one model across
+shared-nothing engine replicas that run one worker protocol — in this
+process (``WorkerTier``) or one OS process each over a binary socket
+protocol, sharing one memory-mapped snapshot (``ProcessWorkerTier``) —
+and the reliability layer adds
 deadlines/cancellation, typed terminal reason codes, admission
 control (token backlog + TTFT/TBT SLO prediction), and deterministic
 fault injection (``FaultPlan``).  ``repro.serve.loadgen`` drives it

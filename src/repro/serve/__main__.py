@@ -169,66 +169,29 @@ def generate_demo(args, engine: PrunedInferenceEngine,
 
 
 def tier_demo(args, directory: str, hw_config) -> None:
+    from .procworkers import ProcessWorkerTier
     from .workers import WorkerTier
 
-    print(f"== shared-nothing worker tier ({args.replicas} replicas, "
-          "least-loaded routing) ==")
-    tier = WorkerTier.from_snapshot(
-        directory, replicas=args.replicas,
-        policy=BatchPolicy(max_batch_size=args.max_batch_size,
-                           max_wait=args.max_wait),
-        estimate_hardware=True, hw_config=hw_config,
-        preempt_after=args.preempt_after,
-        registry=args.obs_registry, tracer=args.obs_tracer)
-    config = tier.workers[0].engine.model.config
-    rng = np.random.default_rng(args.seed)
-    prompt_cap = max(2, min(9, config.max_seq_len // 2))
-    ids = [tier.open_stream(
-               rng.integers(1, config.vocab_size, size=int(length)),
-               max_new_tokens=args.new_tokens)
-           for length in rng.integers(1, prompt_cap, size=args.streams)]
-    tier.drain()
-    for stream_id in ids:
-        result = tier.finish(stream_id)
-        hw = result.hardware
-        print(f"  stream {stream_id}: {len(result.tokens)} tokens  "
-              f"{hw.runtime_ns:8.1f} ns "
-              f"({hw.speedup_vs_baseline:.2f}x, kernel "
-              f"{hw.kernel_backend})")
-    summary = tier.stats_summary()
-    tier_row = summary["tier"]
-    reasons = ", ".join(f"{reason}={count}" for reason, count
-                        in sorted(tier_row["reasons"].items()))
-    print(f"  -> tier: {tier_row['completed']} terminal across "
-          f"{tier_row['replicas']} replicas ({reasons or 'none'}); "
-          f"shed={tier_row['shed']} errors={tier_row['errors']} "
-          f"preemptions={tier_row['preemptions']}")
-    for name, row in summary["workers"].items():
-        print(f"  -> {name}: {row['completed']} served, "
-              f"{row['outstanding_tokens']} tokens outstanding, "
-              f"health={row['health']}")
-        if args.stats:
-            print_reason_stats(name, tier.engines[name].stats,
-                               health=row["health"])
-
-
-def proc_tier_demo(args, directory: str, hw_config) -> None:
-    from .procworkers import ProcessWorkerTier
-
-    print(f"== multi-process worker tier ({args.procs} worker "
-          "processes, shared mmap snapshot, least-loaded routing) ==")
-    tier = ProcessWorkerTier.from_snapshot(
-        directory, replicas=args.procs,
-        policy=BatchPolicy(max_batch_size=args.max_batch_size,
-                           max_wait=args.max_wait),
-        estimate_hardware=True, hw_config=hw_config,
-        preempt_after=args.preempt_after,
-        registry=args.obs_registry, tracer=args.obs_tracer)
-    try:
+    if args.procs is not None:
+        tier_cls, replicas = ProcessWorkerTier, args.procs
+        print(f"== multi-process worker tier ({replicas} worker "
+              "processes, shared mmap snapshot, least-loaded routing) ==")
+    else:
+        tier_cls, replicas = WorkerTier, args.replicas
+        print(f"== shared-nothing worker tier ({replicas} replicas, "
+              "least-loaded routing) ==")
+    with tier_cls.from_snapshot(
+            directory, replicas=replicas,
+            policy=BatchPolicy(max_batch_size=args.max_batch_size,
+                               max_wait=args.max_wait),
+            estimate_hardware=True, hw_config=hw_config,
+            preempt_after=args.preempt_after,
+            registry=args.obs_registry, tracer=args.obs_tracer) as tier:
+        config = tier.handshake["config"]
         rng = np.random.default_rng(args.seed)
-        prompt_cap = max(2, min(9, tier._capacity // 2))
+        prompt_cap = max(2, min(9, config.max_seq_len // 2))
         ids = [tier.open_stream(
-                   rng.integers(1, 64, size=int(length)),
+                   rng.integers(1, config.vocab_size, size=int(length)),
                    max_new_tokens=args.new_tokens)
                for length in rng.integers(1, prompt_cap,
                                           size=args.streams)]
@@ -245,17 +208,16 @@ def proc_tier_demo(args, directory: str, hw_config) -> None:
         reasons = ", ".join(f"{reason}={count}" for reason, count
                             in sorted(tier_row["reasons"].items()))
         print(f"  -> tier: {tier_row['completed']} terminal across "
-              f"{tier_row['replicas']} worker processes "
-              f"({reasons or 'none'}); shed={tier_row['shed']} "
-              f"errors={tier_row['errors']}")
+              f"{tier_row['replicas']} replicas ({reasons or 'none'}); "
+              f"shed={tier_row['shed']} errors={tier_row['errors']} "
+              f"preemptions={tier_row['preemptions']}")
         for name, row in summary["workers"].items():
             print(f"  -> {name}: {row['completed']} served, "
+                  f"{row['outstanding_tokens']} tokens outstanding, "
                   f"health={row['health']}")
             if args.stats:
                 print_reason_stats(name, tier.stats[name],
                                    health=row["health"])
-    finally:
-        tier.close()
 
 
 def router_demo(args, engines: dict[str, PrunedInferenceEngine],
@@ -447,10 +409,7 @@ def _dispatch(args, hw_config) -> None:
             else:
                 directory = scratch
                 build_lm_engine(args.seed).save(directory)
-            if args.procs is not None:
-                proc_tier_demo(args, directory, hw_config)
-            else:
-                tier_demo(args, directory, hw_config)
+            tier_demo(args, directory, hw_config)
         return
 
     if args.engine_dir:

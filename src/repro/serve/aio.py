@@ -6,12 +6,14 @@ oldest request's ``max_wait`` deadline passes — so requests from
 independent coroutines coalesce into shared batches.
 
 The core may be a single :class:`~repro.serve.engine.ServingEngine`,
-a :class:`~repro.serve.router.ModelRouter`, or a
-:class:`~repro.serve.workers.WorkerTier` — all expose the same
-submit/step/finish surface; with a router, ``submit(..., model=...)``
-routes each awaiting client to its model, and with a worker tier each
-request lands on the least-loaded replica, while every queue is
-driven by the one runner task.
+a :class:`~repro.serve.router.ModelRouter`, or a replica tier
+(:class:`~repro.serve.workers.WorkerTier` in-process,
+:class:`~repro.serve.procworkers.ProcessWorkerTier` over worker
+processes) — all expose the same submit/step/finish surface, plus the
+``streams_pending()`` probe the runner keeps stepping on; with a
+router, ``submit(..., model=...)`` routes each awaiting client to its
+model, and with a tier each request lands on the least-loaded
+replica, while every queue is driven by the one runner task.
 """
 
 from __future__ import annotations
@@ -147,11 +149,7 @@ class AsyncServingEngine:
             # client; stepping the same broken streams again would
             # spin (or hang close()) forever
             return False
-        serving = self._serving
-        engines = (serving.engines.values()
-                   if hasattr(serving, "engines") else [serving])
-        return any(not s.done for engine in engines
-                   for s in engine._streams.values())
+        return self._serving.streams_pending()
 
     async def _run(self) -> None:
         while not self._closed:

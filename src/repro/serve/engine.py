@@ -119,6 +119,56 @@ class ServeResult:
         return self.reason == REASON_OK
 
 
+# -- request checks, shared by ServingEngine and the worker tier so a
+# bad request raises in the caller whichever front door it came through
+def check_classify(inputs, mask, pad_to: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One classification request as arrays: ``inputs`` of (L,) tokens
+    or (L, D) patch features with ``0 < L <= pad_to``, and a boolean
+    mask (all true by default)."""
+    inputs = np.asarray(inputs)
+    if inputs.ndim not in (1, 2):
+        raise ValueError("submit takes one sequence per request: "
+                         f"(L,) or (L, D), got shape {inputs.shape}")
+    if not 0 < inputs.shape[0] <= pad_to:
+        # reject here, not at step() time — a bad request must never
+        # take down the batch it would have been coalesced into
+        raise ValueError(f"request length {inputs.shape[0]} outside "
+                         f"[1, {pad_to}]")
+    mask = (np.ones(inputs.shape[0], dtype=bool) if mask is None
+            else np.asarray(mask, dtype=bool))
+    return inputs, mask
+
+
+def check_stream(prompt, max_new_tokens: int, prompt_limit: int,
+                 decode: bool) -> np.ndarray:
+    """One generation request's prompt as flat int64 token ids, for a
+    model that decodes incrementally (``decode``), with at most
+    ``prompt_limit`` prompt tokens and ``max_new_tokens >= 1``."""
+    if not decode:
+        raise TypeError("model does not support incremental decode; "
+                        "open_stream needs a causal LM")
+    if max_new_tokens < 1:
+        raise ValueError("max_new_tokens must be >= 1")
+    prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
+    if prompt.size == 0 or prompt.size > prompt_limit:
+        raise ValueError(f"prompt length must be in [1, {prompt_limit}]")
+    return prompt
+
+
+def resolve_deadline(now: float, deadline: float | None,
+                     ttl: float | None) -> float | None:
+    """Absolute deadline from either an absolute ``deadline`` or a
+    relative ``ttl`` (seconds from arrival)."""
+    if deadline is not None and ttl is not None:
+        raise ValueError("pass deadline= or ttl=, not both")
+    if ttl is not None:
+        if ttl <= 0:
+            raise ValueError("ttl must be > 0 seconds")
+        return now + ttl
+    return deadline
+
+
 @dataclass
 class ServingStats:
     """Aggregate view of the traffic served so far.
@@ -260,6 +310,8 @@ class ServingEngine:
         # pad_to below max_seq_len keeps short-prompt prefill cheap
         # while decode buffers still span the full capacity
         self._prefill_width = min(self._pad_to, self._capacity)
+        self._prompt_limit = min(self._prefill_width, self._capacity - 1)
+        self._can_decode = hasattr(engine.model, "decode_step")
         self._per_position = getattr(config, "head", None) == "span"
         self._batcher = DynamicBatcher(self.policy, self._pad_to)
         self._planner = StepPlanner(SchedulerConfig(
@@ -351,19 +403,6 @@ class ServingEngine:
             for event in ("admit", "evict", "swap_out")}
 
     # -- submission -----------------------------------------------------
-    @staticmethod
-    def _resolve_deadline(now: float, deadline: float | None,
-                          ttl: float | None) -> float | None:
-        """Absolute deadline from either an absolute ``deadline`` or a
-        relative ``ttl`` (seconds from arrival)."""
-        if deadline is not None and ttl is not None:
-            raise ValueError("pass deadline= or ttl=, not both")
-        if ttl is not None:
-            if ttl <= 0:
-                raise ValueError("ttl must be > 0 seconds")
-            return now + ttl
-        return deadline
-
     def _admit(self, tokens: int, request_id: int, kind: str) -> bool:
         """Admission control: False fast-rejects the request with a
         terminal ``shed_overload`` result instead of letting the
@@ -410,22 +449,12 @@ class ServingEngine:
         ``deadline`` (absolute clock time) or ``ttl`` (seconds from
         now) bounds how long the request may wait or run — past it the
         request is shed with ``deadline_exceeded``."""
-        inputs = np.asarray(inputs)
-        if inputs.ndim not in (1, 2):
-            raise ValueError("submit takes one sequence per request: "
-                             f"(L,) or (L, D), got shape {inputs.shape}")
-        if not 0 < inputs.shape[0] <= self._pad_to:
-            # reject here, not at step() time — a bad request must never
-            # take down the batch it would have been coalesced into
-            raise ValueError(f"request length {inputs.shape[0]} outside "
-                             f"[1, {self._pad_to}]")
-        mask = (np.ones(inputs.shape[0], dtype=bool) if mask is None
-                else np.asarray(mask, dtype=bool))
+        inputs, mask = check_classify(inputs, mask, self._pad_to)
         now = self._clock() if now is None else now
         request = QueuedRequest(
             request_id=self._allocate_id(), inputs=inputs, mask=mask,
             arrival=now,
-            deadline=self._resolve_deadline(now, deadline, ttl))
+            deadline=resolve_deadline(now, deadline, ttl))
         if self._tracer.enabled:
             self._tracer.instant("submit", now, self._pid,
                                  request.request_id, kind="classify",
@@ -446,20 +475,13 @@ class ServingEngine:
         only); ``prompt``: (L,) token ids.  ``deadline``/``ttl`` bound
         the stream's total lifetime — an expired stream stops where it
         is and frees its KV slot."""
-        if not hasattr(self.engine.model, "decode_step"):
-            raise TypeError("model does not support incremental decode; "
-                            "open_stream needs a causal LM")
-        if max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
-        limit = min(self._prefill_width, self._capacity - 1)
-        if prompt.size == 0 or prompt.size > limit:
-            raise ValueError(f"prompt length must be in [1, {limit}]")
+        prompt = check_stream(prompt, max_new_tokens, self._prompt_limit,
+                              self._can_decode)
         now = self._clock() if now is None else now
         stream = StreamState(
             stream_id=self._allocate_id(), tokens=prompt.copy(),
             max_new_tokens=max_new_tokens, arrival=now,
-            deadline=self._resolve_deadline(now, deadline, ttl),
+            deadline=resolve_deadline(now, deadline, ttl),
             # request-derived KV budget: never a function of the batch
             kv_capacity=min(self._capacity,
                             prompt.size + max_new_tokens))
@@ -486,7 +508,13 @@ class ServingEngine:
 
     def has_pending(self) -> bool:
         return bool(len(self._batcher) or self._instant
-                    or any(not s.done for s in self._streams.values()))
+                    or self.streams_pending())
+
+    def streams_pending(self) -> bool:
+        """Whether any generation stream is still live (waiting,
+        swapped out or decoding): the asyncio front door keeps stepping
+        while one is."""
+        return any(not s.done for s in self._streams.values())
 
     # -- occupancy introspection (leak checks, admission control) -------
     def kv_slots_in_use(self) -> int:
@@ -698,7 +726,7 @@ class ServingEngine:
     def drain(self) -> list[int]:
         """Run everything pending to completion (demo / test helper)."""
         completed = self.flush()
-        while any(not s.done for s in self._streams.values()):
+        while self.streams_pending():
             self._now = self._clock()
             completed += self._advance_streams(None)
         return completed
@@ -710,9 +738,9 @@ class ServingEngine:
 
     def collect(self, request_id: int) -> ServeResult:
         """Collect a result and release all of its state *without*
-        raising its typed terminal error — the IPC worker surface:
-        process workers ship every result (ok or failed) back over the
-        socket and let the parent tier decide whether to raise.
+        raising its typed terminal error — the tier worker surface:
+        workers ship every result (ok or failed) back to the tier and
+        let it decide whether to raise.
         Collecting a live generation stream stops it early and frees
         its KV slot, exactly like :meth:`finish`."""
         if request_id in self._results:

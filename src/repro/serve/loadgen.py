@@ -21,8 +21,7 @@ request: (1) inter-arrival gap, (2) request kind, (3) prompt length,
   by arrival storms that overrun any fixed provisioning.
 
 ``replay_trace`` feeds a trace into any serving core (a
-:class:`~repro.serve.engine.ServingEngine`,
-:class:`~repro.serve.workers.WorkerTier`, or
+:class:`~repro.serve.engine.ServingEngine`, a replica tier, or a
 :class:`~repro.serve.router.ModelRouter`) and returns a
 :class:`LoadReport`.  Driven with a :class:`VirtualClock` the whole
 replay is deterministic — arrivals land at exact trace times and
@@ -32,12 +31,11 @@ clock it measures real throughput for the CI SLO gate
 ``BENCH_serving_slo.json`` artifact via
 :func:`~repro.eval.artifacts.record_bench`.
 
-``--procs N`` swaps the in-process tier for a
-:class:`~repro.serve.procworkers.ProcessWorkerTier` — one engine
-replica per OS process over a shared memory-mapped snapshot — and
-``--check --min-proc-speedup X`` gates its wall-clock tok/s against a
-same-trace in-process baseline (recorded to
-``BENCH_serving_procs.json``).
+The command line serves ``--replicas N`` in-process replicas
+(:class:`~repro.serve.workers.WorkerTier`), or with ``--procs N`` one
+replica per OS process over a shared memory-mapped snapshot
+(:class:`~repro.serve.procworkers.ProcessWorkerTier`, recorded as
+``BENCH_serving_procs.json``) — the same tier over either link.
 """
 
 from __future__ import annotations
@@ -366,6 +364,7 @@ def print_report(report: LoadReport, label: str = "loadgen") -> None:
 
 def main(argv=None) -> None:
     from .batcher import BatchPolicy
+    from .procworkers import ProcessWorkerTier
     from .scheduler import SLOAdmission
     from .workers import WorkerTier
     from .__main__ import build_lm_engine
@@ -384,13 +383,6 @@ def main(argv=None) -> None:
                              "worker processes (one engine replica per "
                              "OS process, shared mmap snapshot) instead "
                              "of the in-process WorkerTier")
-    parser.add_argument("--min-proc-speedup", type=float, default=None,
-                        metavar="X",
-                        help="with --procs and --check: also replay the "
-                             "trace on the in-process tier (--replicas "
-                             "workers, one process) and require the "
-                             "proc tier to sustain at least X times its "
-                             "tok/s (wall clock only)")
     parser.add_argument("--dim", type=int, default=32,
                         help="toy LM model width (default 32; raise it "
                              "so each forward dominates IPC overhead "
@@ -442,12 +434,6 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.procs is not None and args.procs < 1:
         parser.error("--procs must be >= 1")
-    if args.min_proc_speedup is not None:
-        if args.procs is None:
-            parser.error("--min-proc-speedup needs --procs")
-        if args.virtual:
-            parser.error("--min-proc-speedup measures wall-clock "
-                         "throughput; drop --virtual")
 
     registry = tracer = metrics_server = None
     if args.metrics_dump or args.metrics_port is not None:
@@ -463,7 +449,6 @@ def main(argv=None) -> None:
         print(f"[metrics] serving http://127.0.0.1:"
               f"{metrics_server.server_address[1]}/metrics")
 
-    baseline = None
     with tempfile.TemporaryDirectory() as scratch:
         directory = args.engine_dir
         if directory is None:
@@ -475,39 +460,19 @@ def main(argv=None) -> None:
                if args.ttft_slo is not None else None)
         policy = BatchPolicy(max_batch_size=args.max_batch_size,
                              max_wait=0.0)
-        tier_kwargs = dict(
-            policy=policy, clock=clock,
-            step_token_budget=args.step_token_budget, slo=slo,
-            registry=registry, tracer=tracer)
         trace = TraceSpec(
             seed=args.seed, requests=args.requests,
             process=args.process, rate=args.rate,
             burst_rate=args.burst_rate,
             prompt_tokens=tuple(args.prompt_tokens),
             new_tokens=tuple(args.new_tokens))
-        if args.procs is not None:
-            from .procworkers import ProcessWorkerTier
-            tier = ProcessWorkerTier.from_snapshot(
-                directory, replicas=args.procs, **tier_kwargs)
-            try:
-                report = replay_trace(tier, trace, clock=clock)
-            finally:
-                tier.close()
-        else:
-            tier = WorkerTier.from_snapshot(
-                directory, replicas=args.replicas, **tier_kwargs)
+        tier_cls = WorkerTier if args.procs is None else ProcessWorkerTier
+        with tier_cls.from_snapshot(
+                directory, replicas=args.procs or args.replicas,
+                policy=policy, clock=clock,
+                step_token_budget=args.step_token_budget, slo=slo,
+                registry=registry, tracer=tracer) as tier:
             report = replay_trace(tier, trace, clock=clock)
-        if args.min_proc_speedup is not None:
-            # same trace, same policy, same replica count — one
-            # process, so the GIL serializes what the proc tier runs
-            # on real cores
-            base_tier = WorkerTier.from_snapshot(
-                directory, replicas=args.replicas, policy=policy,
-                clock=clock,
-                step_token_budget=args.step_token_budget,
-                slo=(SLOAdmission(ttft_target=args.ttft_slo)
-                     if args.ttft_slo is not None else None))
-            baseline = replay_trace(base_tier, trace, clock=clock)
 
     if args.procs is not None:
         label = (f"{args.process} x{args.procs} worker processes "
@@ -526,19 +491,7 @@ def main(argv=None) -> None:
         "clock": "virtual" if args.virtual else "wall",
         "python": sys.version.split()[0]}
     metrics = report.metrics()
-    bench_name = "serving_slo"
-    if args.procs is not None:
-        bench_name = "serving_procs"
-        if baseline is not None:
-            print_report(baseline,
-                         f"{args.process} x{args.replicas} in-process "
-                         "replicas (baseline)")
-            speedup = report.tok_s / max(baseline.tok_s, 1e-12)
-            print(f"  [procs] {report.tok_s:.1f} tok/s over "
-                  f"{baseline.tok_s:.1f} tok/s in-process -> "
-                  f"{speedup:.2f}x")
-            metrics["baseline_tok_s"] = baseline.tok_s
-            metrics["proc_speedup"] = speedup
+    bench_name = "serving_slo" if args.procs is None else "serving_procs"
     path = record_bench(bench_name, metrics, context=context)
     if path:
         print(f"  [bench] recorded -> {path}")
@@ -556,12 +509,6 @@ def main(argv=None) -> None:
         report.check(max_ttft_p99=args.max_ttft_p99,
                      min_tok_s=args.min_tok_s,
                      max_tbt_p99=args.max_tbt_p99)
-        if args.min_proc_speedup is not None and baseline is not None:
-            speedup = report.tok_s / max(baseline.tok_s, 1e-12)
-            if speedup < args.min_proc_speedup:
-                raise SystemExit(
-                    f"SLO check failed: proc_speedup {speedup:.2f} < "
-                    f"{args.min_proc_speedup}")
         print("  [check] SLOs met")
 
 

@@ -1,31 +1,44 @@
-"""True multi-process serving: one engine replica per OS process.
+"""The replica tier: one model snapshot served by N engine replicas.
 
-``ProcessWorkerTier`` presents the exact
-:class:`~repro.serve.workers.WorkerTier` surface — ``submit`` /
-``open_stream`` / ``step`` / ``flush`` / ``drain`` / ``finish`` /
-``cancel`` / ``stats_summary`` — but each replica's
-:class:`~repro.serve.engine.ServingEngine` runs in its **own forked
-process**, so N workers occupy N cores instead of time-slicing one
-GIL.  The parent is a thin router over a length-prefixed binary
-message protocol:
+``ProcessWorkerTier`` puts N shared-nothing replicas — each a
+:class:`~repro.serve.engine.ServingEngine` rebuilt from the same saved
+snapshot — behind the engine surface: ``submit`` / ``open_stream`` /
+``step`` / ``flush`` / ``drain`` / ``finish`` / ``cancel`` /
+``stats_summary``.  The tier alone owns routing, the tier-global
+request ids, result plumbing, worker-failure handling and the stats
+rollup.  Each replica runs the worker side of one message protocol
+(:class:`_Worker`), and the tier reaches it through a *link*:
 
-    frame     := 4-byte big-endian length | pickle(payload)
+* a socket link (``ProcessWorkerTier``): the worker runs in its **own
+  forked process**, so N workers occupy N cores instead of
+  time-slicing one GIL;
+* an inline link (:class:`~repro.serve.workers.WorkerTier`): the
+  worker runs in this process and the link calls it directly, with
+  nothing pickled.
+
+The protocol::
+
     requests  := ("submit", {...}) | ("open_stream", {...})   one-way
                  ("cancel", {...}) -> ("cancelled", bool)
                  ("finish", {...}) -> ("finished", ServeResult | exc)
                  ("step"|"flush", {now, seq}) -> ("stepped", {...})
                  ("shutdown", None) -> ("bye", None)
+    failure   := ("fatal", "Type: message"), then the worker is gone
+    frame     := 4-byte big-endian length | pickle(message)  (sockets)
 
 ``step()`` round-trips **once per worker per step**: the parent sends
 every live worker its step message first, then reads the replies —
-workers compute their scheduler step concurrently while the parent
-waits.  A step reply coalesces everything the parent needs — the
-completed :class:`~repro.serve.engine.ServeResult` objects, the load
-signals used for least-outstanding-tokens routing, the worker's
-:class:`~repro.serve.engine.ServingStats`, a metrics snapshot, and a
-trace-event delta — so there is no per-request chatter.
+forked workers compute their scheduler steps concurrently while the
+parent waits.  A step reply coalesces everything the parent needs —
+the completed :class:`~repro.serve.engine.ServeResult` objects, the
+load signals used for least-outstanding-tokens routing, the worker's
+:class:`~repro.serve.engine.ServingStats`, and from a forked worker a
+metrics snapshot and a trace-event delta — so there is no per-request
+chatter.  In-process workers publish straight into the tier's
+registry and tracer instead.
 
-**Zero-copy snapshot sharing.**  Every worker rebuilds its
+**Zero-copy snapshot sharing.**  With ``mmap=True`` (the default for
+worker processes) every replica rebuilds its
 :class:`~repro.core.PrunedInferenceEngine` with
 ``from_directory(directory, mmap=True)``: the snapshot's weights are
 expanded once into an ``.npy`` sidecar and each process maps the same
@@ -34,17 +47,18 @@ in the page cache instead of N private heaps.
 
 **Bit-identity.**  Workers pad, batch, and estimate hardware exactly
 like a solo engine — outputs, masks, and hardware estimates depend
-only on the request, never on the batch, the replica, or the process
-boundary — so proc-tier replays are bit-identical per request to solo
-reference runs (pinned by ``tests/test_procworkers.py``).
+only on the request, never on the batch, the replica, the link or the
+process boundary — so tier replays are bit-identical per request to
+solo reference runs (pinned by ``tests/test_procworkers.py``).
 
-**Fault tolerance.**  Worker death (socket EOF, kill signal, step
-timeout) routes through :class:`~repro.serve.health.EngineHealth` as
-:meth:`~repro.serve.health.EngineHealth.mark_dead`, and the dead
-worker's in-flight requests are resubmitted to the survivors with
-their original arrival stamps and deadlines — bit-identity makes the
-reroute invisible in the results.  With no survivors the requests
-terminate fast with typed ``engine_error`` results, never stall.
+**Fault tolerance.**  A lost worker (socket EOF, kill signal, step
+timeout, or an exception raised inside an in-process worker) routes
+through :class:`~repro.serve.health.EngineHealth` as
+:meth:`~repro.serve.health.EngineHealth.mark_dead`, and its in-flight
+requests are resubmitted to the survivors with their original arrival
+stamps and deadlines — bit-identity makes the reroute invisible in
+the results.  With no survivors the requests terminate fast with
+typed ``engine_error`` results, never stall.
 """
 
 from __future__ import annotations
@@ -55,18 +69,19 @@ import pickle
 import socket
 import struct
 import time
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 
-from ..core.engine import ensure_mmap_weights
+from ..core.engine import PrunedInferenceEngine, ensure_mmap_weights
 from ..obs.metrics import as_registry
 from ..obs.tracing import as_tracer
 from .batcher import BatchPolicy
 from .engine import (REASON_ERROR, RequestTiming, ServeResult,
-                     ServingEngine, ServingStats)
+                     ServingEngine, ServingStats, check_classify,
+                     check_stream, resolve_deadline)
 from .health import EngineHealth, HealthPolicy
-from .workers import tier_rollup
 
 __all__ = ["ProcessWorkerTier", "WorkerDied"]
 
@@ -74,8 +89,9 @@ _HEADER = struct.Struct(">I")
 
 
 class WorkerDied(ConnectionError):
-    """The worker process behind a socket is gone (EOF, crash, or
-    step timeout); the tier quarantines it and reroutes its work."""
+    """A worker is gone (socket EOF, crash, step timeout, or an
+    exception inside an in-process worker); the tier quarantines it
+    and reroutes its work."""
 
 
 # -- framing ------------------------------------------------------------
@@ -108,12 +124,17 @@ def _recv(sock: socket.socket):
     return pickle.loads(_read_exact(sock, length))
 
 
+def _last_words(error: BaseException) -> tuple:
+    return ("fatal", f"{type(error).__name__}: {error}")
+
+
 class _SettableClock:
-    """Worker-side engine clock slaved to the parent's: every message
-    carries the parent clock's ``now`` and the worker pins its clock
-    to it before dispatching, so arrival stamps, deadlines, and
-    timings live in one shared timebase — and virtual-clock replays
-    stay exactly reproducible across the process boundary."""
+    """Worker-process engine clock slaved to a virtual parent clock:
+    every message carries the parent clock's ``now`` and the worker
+    pins its clock to it before dispatching, so arrival stamps,
+    deadlines, and timings live in one shared timebase — and
+    virtual-clock replays stay exactly reproducible across the process
+    boundary."""
 
     __slots__ = ("value",)
 
@@ -124,7 +145,138 @@ class _SettableClock:
         return self.value
 
 
-# -- worker process -----------------------------------------------------
+# -- the worker side of the protocol -------------------------------------
+def _build_engine(directory: str, index: int, spec: dict, clock,
+            registry=None, tracer=None) -> ServingEngine:
+    """Replica ``index``: its own engine rebuilt from the snapshot."""
+    core = PrunedInferenceEngine.from_directory(directory,
+                                                mmap=spec["mmap"])
+    return ServingEngine(core, policy=spec["policy"], clock=clock,
+                         slo=spec["slo"], name=f"worker{index}",
+                         registry=registry, tracer=tracer,
+                         **spec["engine_kwargs"])
+
+
+class _Worker:
+    """One replica's side of the protocol: its engine, the maps
+    between engine and tier request ids, the failure results it made
+    itself, and how much of its trace it has shipped.  ``pin`` is the
+    clock to set from each message's ``now`` (virtual-clock worker
+    processes only); ``registry`` and ``tracer`` are a worker
+    process's own, shipped back in every step reply — an in-process
+    worker's engine publishes into the tier's and ships nothing."""
+
+    def __init__(self, engine: ServingEngine,
+                 pin: _SettableClock | None = None,
+                 registry=None, tracer=None):
+        self.engine = engine
+        self._pin = pin
+        self._registry = registry
+        self._tracer = tracer
+        self._tier_ids: dict[int, int] = {}     # engine id -> tier id
+        self._engine_ids: dict[int, int] = {}   # tier id -> engine id
+        self._failed: list = []                 # (tier id, result) made here
+        self._traced = 0                        # trace events shipped
+
+    def hello(self) -> tuple:
+        """The handshake: the limits the tier checks requests against
+        before they leave the caller, and the model's config."""
+        engine = self.engine
+        return ("ready", {
+            "pad_to": engine._pad_to,
+            "prompt_limit": engine._prompt_limit,
+            "decode": engine._can_decode,
+            "config": getattr(engine.engine.model, "config", None),
+        })
+
+    def handle(self, op: str, payload):
+        """Serve one message; returns the reply, or None for one-way
+        messages."""
+        if op == "shutdown":
+            return ("bye", None)
+        if self._pin is not None:
+            self._pin.value = payload["now"]
+        if op in ("submit", "open_stream"):
+            self._open(op, payload)
+            return None
+        if op == "cancel":
+            eid = self._engine_ids.get(payload["tier_id"])
+            return ("cancelled",
+                    False if eid is None else self.engine.cancel(eid))
+        if op == "finish":
+            return ("finished", self._finish(payload["tier_id"]))
+        if op in ("step", "flush"):
+            return ("stepped", self._step(op, payload))
+        raise ValueError(f"unknown op {op!r}")
+
+    def _open(self, op: str, payload: dict) -> None:
+        tier_id = payload["tier_id"]
+        try:
+            if op == "submit":
+                eid = self.engine.submit(
+                    payload["inputs"], payload["mask"],
+                    now=payload["now"], deadline=payload["deadline"])
+            else:
+                eid = self.engine.open_stream(
+                    payload["prompt"], payload["max_new_tokens"],
+                    now=payload["now"], deadline=payload["deadline"])
+        except Exception as error:     # noqa: BLE001 — shipped
+            self._failed.append((tier_id, ServeResult(
+                request_id=tier_id,
+                kind="classify" if op == "submit" else "generate",
+                logits=np.zeros(0), error=error, reason=REASON_ERROR,
+                timing=RequestTiming(arrival=payload["now"],
+                                     finished=payload["now"]))))
+            return
+        self._tier_ids[eid] = tier_id
+        self._engine_ids[tier_id] = eid
+
+    def _finish(self, tier_id: int):
+        eid = self._engine_ids.get(tier_id)
+        if eid is None:
+            return KeyError(f"unknown request {tier_id}")
+        try:
+            result = self.engine.collect(eid)
+        except Exception as error:     # noqa: BLE001 — shipped
+            return error
+        del self._tier_ids[eid], self._engine_ids[tier_id]
+        result.request_id = tier_id
+        return result
+
+    def _step(self, op: str, payload: dict) -> dict:
+        engine = self.engine
+        done = engine.step(payload["now"]) if op == "step" \
+            else engine.flush()
+        completed, self._failed = self._failed, []
+        for eid in done:
+            tier_id = self._tier_ids.pop(eid, None)
+            if tier_id is None:
+                continue
+            del self._engine_ids[tier_id]
+            result = engine.collect(eid)
+            # re-badge into the tier-global id space: the parent never
+            # sees engine ids
+            result.request_id = tier_id
+            completed.append((tier_id, result))
+        reply = {
+            "seq": payload["seq"],
+            "completed": completed,
+            "outstanding_tokens": engine.outstanding_tokens(),
+            "kv_slots_in_use": engine.kv_slots_in_use(),
+            "queue_depth": engine.queue_depth(),
+            "streams_pending": engine.streams_pending(),
+            "next_deadline": engine.next_deadline(),
+            "queue_ready": engine.queue_ready(payload["now"]),
+            "stats": engine.stats,
+        }
+        if self._registry is not None:
+            reply["metrics"] = self._registry.snapshot()
+        if self._tracer is not None:
+            reply["trace"] = self._tracer.events[self._traced:]
+            self._traced = len(self._tracer.events)
+        return reply
+
+
 def _worker_main(sock: socket.socket, directory: str, index: int,
                  spec: dict) -> None:
     """Worker process entry: build one engine from the shared snapshot,
@@ -132,128 +284,33 @@ def _worker_main(sock: socket.socket, directory: str, index: int,
     ``os._exit`` so a forked pytest process never runs the parent's
     teardown machinery."""
     try:
-        from ..core import PrunedInferenceEngine
         from ..obs.metrics import MetricsRegistry
         from ..obs.tracing import TraceRecorder
 
-        clock = _SettableClock()
         registry = MetricsRegistry() if spec["metrics"] else None
         tracer = TraceRecorder() if spec["trace"] else None
-        core = PrunedInferenceEngine.from_directory(
-            directory, mmap=spec["mmap"])
-        engine = ServingEngine(core, policy=spec["policy"], clock=clock,
-                               slo=spec["slo"], name=f"worker{index}",
-                               registry=registry, tracer=tracer,
-                               **spec["engine_kwargs"])
-        _send(sock, ("ready", {
-            "pad_to": engine._pad_to,
-            "capacity": engine._capacity,
-            "prefill_width": engine._prefill_width,
-            "decode": hasattr(engine.engine.model, "decode_step"),
-        }))
-        idmap: dict[int, int] = {}     # engine id -> tier id
-        inner: dict[int, int] = {}     # tier id -> engine id
-        extra: list = []               # synthesized failure results
-        traced = 0                     # trace events already shipped
-
+        # the monotonic clock is system-wide, so a wall-clock worker
+        # reads it itself and measures real step durations; any other
+        # clock is pinned to the parent's `now` per message
+        pin = None if spec["clock"] is time.monotonic \
+            else _SettableClock()
+        worker = _Worker(
+            _build_engine(directory, index, spec, pin or time.monotonic,
+                    registry, tracer),
+            pin, registry, tracer)
+        _send(sock, worker.hello())
         while True:
             op, payload = _recv(sock)
+            reply = worker.handle(op, payload)
+            if reply is not None:
+                _send(sock, reply)
             if op == "shutdown":
-                _send(sock, ("bye", None))
                 return
-            clock.value = payload["now"]
-            if op == "submit":
-                tier_id = payload["tier_id"]
-                try:
-                    eid = engine.submit(
-                        payload["inputs"], payload["mask"],
-                        now=payload["now"],
-                        deadline=payload["deadline"])
-                    idmap[eid] = tier_id
-                    inner[tier_id] = eid
-                except Exception as error:     # noqa: BLE001 — shipped
-                    extra.append((tier_id, ServeResult(
-                        request_id=tier_id, kind="classify",
-                        logits=np.zeros(0), error=error,
-                        reason=REASON_ERROR,
-                        timing=RequestTiming(arrival=payload["now"],
-                                             finished=payload["now"]))))
-            elif op == "open_stream":
-                tier_id = payload["tier_id"]
-                try:
-                    eid = engine.open_stream(
-                        payload["prompt"], payload["max_new_tokens"],
-                        now=payload["now"],
-                        deadline=payload["deadline"])
-                    idmap[eid] = tier_id
-                    inner[tier_id] = eid
-                except Exception as error:     # noqa: BLE001 — shipped
-                    extra.append((tier_id, ServeResult(
-                        request_id=tier_id, kind="generate",
-                        logits=np.zeros(0), error=error,
-                        reason=REASON_ERROR,
-                        timing=RequestTiming(arrival=payload["now"],
-                                             finished=payload["now"]))))
-            elif op == "cancel":
-                eid = inner.get(payload["tier_id"])
-                _send(sock, ("cancelled",
-                             False if eid is None
-                             else engine.cancel(eid)))
-            elif op == "finish":
-                eid = inner.get(payload["tier_id"])
-                if eid is None:
-                    _send(sock, ("finished", KeyError(
-                        f"unknown request {payload['tier_id']}")))
-                else:
-                    try:
-                        result = engine.collect(eid)
-                    except Exception as error:  # noqa: BLE001 — shipped
-                        _send(sock, ("finished", error))
-                    else:
-                        del idmap[eid], inner[payload["tier_id"]]
-                        result.request_id = payload["tier_id"]
-                        _send(sock, ("finished", result))
-            elif op in ("step", "flush"):
-                if op == "step":
-                    done = engine.step(payload["now"])
-                else:
-                    done = engine.flush()
-                completed, extra = extra, []
-                for eid in done:
-                    tid = idmap.pop(eid, None)
-                    if tid is None:
-                        continue
-                    del inner[tid]
-                    result = engine.collect(eid)
-                    # re-badge into the tier-global id space before
-                    # shipping: the parent never sees engine ids
-                    result.request_id = tid
-                    completed.append((tid, result))
-                reply = {
-                    "seq": payload["seq"],
-                    "completed": completed,
-                    "outstanding_tokens": engine.outstanding_tokens(),
-                    "kv_slots_in_use": engine.kv_slots_in_use(),
-                    "queue_depth": engine.queue_depth(),
-                    "has_pending": engine.has_pending(),
-                    "next_deadline": engine.next_deadline(),
-                    "queue_ready": engine.queue_ready(payload["now"]),
-                    "last_step_errors": engine.last_step_errors,
-                    "stats": engine.stats,
-                }
-                if registry is not None:
-                    reply["metrics"] = registry.snapshot()
-                if tracer is not None:
-                    reply["trace"] = tracer.events[traced:]
-                    traced = len(tracer.events)
-                _send(sock, ("stepped", reply))
-            else:
-                raise ValueError(f"unknown op {op!r}")
     except (WorkerDied, KeyboardInterrupt):
         os._exit(1)
     except BaseException as error:             # noqa: BLE001 — last words
         try:
-            _send(sock, ("fatal", f"{type(error).__name__}: {error}"))
+            _send(sock, _last_words(error))
         except Exception:                      # noqa: BLE001
             pass
         os._exit(1)
@@ -261,10 +318,77 @@ def _worker_main(sock: socket.socket, directory: str, index: int,
         os._exit(0)
 
 
-# -- parent tier --------------------------------------------------------
+# -- links: how the tier reaches a worker ---------------------------------
+class _SocketLink:
+    """A worker in a forked process, over one end of a socketpair."""
+
+    def __init__(self, sock: socket.socket,
+                 proc: multiprocessing.process.BaseProcess):
+        self.sock = sock
+        self.proc = proc
+
+    def send(self, message) -> None:
+        _send(self.sock, message)
+
+    def recv(self):
+        return _recv(self.sock)
+
+    def close(self) -> None:
+        """Clean shutdown: a ``shutdown``/``bye`` round trip, then
+        join (a worker that won't exit is killed)."""
+        try:
+            self.send(("shutdown", None))
+            self.recv()
+        except Exception:                      # noqa: BLE001
+            pass
+        self.reap(timeout=2.0)
+
+    def reap(self, timeout: float = 1.0) -> None:
+        self.sock.close()
+        self.proc.join(timeout=timeout)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join(timeout=timeout)
+
+
+class _InlineLink:
+    """A worker in this process: ``send`` runs its handler at once and
+    queues the reply, with nothing pickled.  An exception in the
+    handler becomes the ``("fatal", ...)`` reply a crashing process
+    sends, and the worker is gone from then on — so the tier's failure
+    path reroutes its requests instead of raising into the caller."""
+
+    def __init__(self, worker: _Worker):
+        self.worker = worker
+        self._replies = deque([worker.hello()])
+
+    def send(self, message) -> None:
+        if self.worker is None:
+            raise WorkerDied("worker is gone")
+        try:
+            reply = self.worker.handle(*message)
+        except Exception as error:             # noqa: BLE001 — last words
+            self.worker = None
+            reply = _last_words(error)
+        if reply is not None:
+            self._replies.append(reply)
+
+    def recv(self):
+        if not self._replies:
+            raise WorkerDied("no reply pending")
+        return self._replies.popleft()
+
+    def close(self) -> None:
+        self.worker = None
+
+    reap = close
+
+
+# -- the tier -------------------------------------------------------------
 class ProcessWorkerTier:
-    """N shared-nothing engine replicas, one OS process each, behind
-    the :class:`~repro.serve.workers.WorkerTier` surface."""
+    """N shared-nothing engine replicas behind one front door, one
+    forked worker process each.  ``handshake`` holds what worker 0
+    reported at start: the request limits and the model's config."""
 
     def __init__(self, directory: str, procs: int,
                  policy: BatchPolicy | None = None,
@@ -272,17 +396,16 @@ class ProcessWorkerTier:
                  health: HealthPolicy | None = None,
                  step_timeout: float = 60.0,
                  registry=None, tracer=None, **engine_kwargs):
+        self._links: dict = {}                 # live worker index -> link
         if procs < 1:
             raise ValueError("procs must be >= 1")
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError("ProcessWorkerTier needs fork() "
-                               "(POSIX only)")
         self._clock = clock
+        self._step_timeout = step_timeout
         self._registry = as_registry(registry)
         self._tracer = as_tracer(tracer)
         self._m_deaths = self._registry.counter(
             "repro_proc_worker_deaths_total",
-            "worker processes lost (EOF, crash, or step timeout)")
+            "workers lost (EOF, crash, step timeout or step exception)")
         self._m_rerouted = self._registry.counter(
             "repro_proc_reroutes_total",
             "in-flight requests resubmitted off a dead worker")
@@ -299,105 +422,97 @@ class ProcessWorkerTier:
         self._trace_maps: dict[int, dict] = {} # worker pid remap tables
         self._dirty: set[int] = set()          # sends since last step
         self.health = {i: EngineHealth(health) for i in range(procs)}
-        self._socks: dict[int, socket.socket] = {}
-        self._procs: dict[int, multiprocessing.process.BaseProcess] = {}
         if mmap:
-            # expand the weight sidecar once, before any fork, so the
-            # workers only ever open a published sidecar
+            # expand the weight sidecar once, before any worker opens
+            # it, so workers only ever open a published sidecar
             ensure_mmap_weights(directory)
-        ctx = multiprocessing.get_context("fork")
         try:
             for index in range(procs):
-                spec = {
+                self._links[index] = self._spawn(directory, index, {
                     "policy": policy,
                     "mmap": mmap,
-                    "metrics": self._registry.enabled,
-                    "trace": self._tracer.enabled,
                     "engine_kwargs": engine_kwargs,
-                    # one SLOAdmission copy per worker, like WorkerTier,
-                    # so EWMA refinement stays per-replica
+                    # one SLOAdmission copy per worker, so EWMA
+                    # refinement stays per-replica
                     "slo": replace(slo) if slo is not None else None,
-                }
-                parent_sock, child_sock = socket.socketpair()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(child_sock, directory, index, spec),
-                    daemon=True)
-                proc.start()
-                # close our copy of the child end *now*: once every
-                # parent-side dup is gone, a dead worker reads as EOF
-                # (and later forks never inherit this worker's end)
-                child_sock.close()
-                parent_sock.settimeout(step_timeout)
-                self._socks[index] = parent_sock
-                self._procs[index] = proc
+                })
                 self._est[index] = 0
             for index in range(procs):
-                kind, info = _recv(self._socks[index])
+                kind, info = self._links[index].recv()
                 if kind != "ready":
                     raise RuntimeError(
                         f"worker{index} failed to start: {info}")
                 if index == 0:
-                    self._pad_to = info["pad_to"]
-                    self._capacity = info["capacity"]
-                    self._prefill_width = info["prefill_width"]
-                    self._decode = info["decode"]
+                    self.handshake = info
         except BaseException:
             self.close()
             raise
+
+    def _spawn(self, directory: str, index: int, spec: dict):
+        """Fork worker ``index`` and return its socket link."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise RuntimeError("ProcessWorkerTier needs fork() "
+                               "(POSIX only)")
+        spec = dict(spec, clock=self._clock,
+                    metrics=self._registry.enabled,
+                    trace=self._tracer.enabled)
+        parent_sock, child_sock = socket.socketpair()
+        proc = multiprocessing.get_context("fork").Process(
+            target=_worker_main,
+            args=(child_sock, directory, index, spec), daemon=True)
+        proc.start()
+        # close our copy of the child end *now*: once every parent-side
+        # dup is gone, a dead worker reads as EOF (and later forks
+        # never inherit this worker's end)
+        child_sock.close()
+        parent_sock.settimeout(self._step_timeout)
+        return _SocketLink(parent_sock, proc)
 
     @classmethod
     def from_snapshot(cls, directory: str, replicas: int,
                       policy: BatchPolicy | None = None,
                       clock=time.monotonic, mmap: bool = True,
                       **engine_kwargs) -> "ProcessWorkerTier":
-        """:meth:`WorkerTier.from_snapshot` parity — same signature,
-        same semantics, but ``replicas`` worker *processes*."""
-        registry = engine_kwargs.pop("registry", None)
-        tracer = engine_kwargs.pop("tracer", None)
-        return cls(directory, procs=replicas, policy=policy,
-                   clock=clock, mmap=mmap, registry=registry,
-                   tracer=tracer, **engine_kwargs)
+        """Build a tier of ``replicas`` workers, each rebuilding its own
+        :class:`~repro.core.PrunedInferenceEngine` from the saved
+        snapshot at ``directory`` — shared-nothing by construction
+        (independent caches and queues).  ``mmap=True`` loads each
+        replica's weights as read-only memory maps of one shared
+        on-disk sidecar instead of private heap copies (see
+        :func:`repro.core.engine.load_mmap_state`).  ``registry=`` and
+        ``tracer=`` observe the whole tier; ``health=`` and
+        ``step_timeout=`` set the worker-failure policy; the other
+        ``engine_kwargs`` (``step_token_budget=``, ``preempt_after=``,
+        ``slo=``, ``estimate_hardware=``, ...) configure every worker's
+        :class:`~repro.serve.engine.ServingEngine` identically — an
+        ``slo`` is copied per worker so EWMA refinement stays
+        per-replica.  Workers are named ``worker0..N-1`` (their metric
+        label and trace track), so don't pass ``name=``."""
+        return cls(directory, procs=replicas, policy=policy, clock=clock,
+                   mmap=mmap, **engine_kwargs)
 
     # -- routing --------------------------------------------------------
-    def _live(self) -> list[int]:
-        return [i for i in sorted(self._socks)
-                if not self.health[i].quarantined]
-
     def pick_worker(self) -> int:
         """Deterministic least-loaded routing over the live workers:
         fewest estimated outstanding tokens, lowest index breaking
         ties.  The estimate is resynced from every step reply and
-        bumped locally per submission, so between steps it tracks the
-        in-process tier's live signal exactly (shed-free traces route
-        identically)."""
-        live = self._live()
-        if not live:
+        bumped locally per submission, so between steps it tracks each
+        engine's own outstanding-token count (shed-free traces route
+        as if the tier read the engines directly)."""
+        if not self._links:
             raise WorkerDied("no live workers")
-        return min(live, key=lambda i: (self._est[i], i))
-
-    @staticmethod
-    def _resolve_deadline(now, deadline, ttl):
-        # mirrors ServingEngine._resolve_deadline so validation errors
-        # raise synchronously in the caller, not async in a worker
-        if deadline is not None and ttl is not None:
-            raise ValueError("pass deadline= or ttl=, not both")
-        if ttl is not None:
-            if ttl <= 0:
-                raise ValueError("ttl must be > 0 seconds")
-            return now + ttl
-        return deadline
+        return min(self._links, key=lambda i: (self._est[i], i))
 
     def _track(self, worker: int, payload: dict) -> int:
         tier_id = self._next_id
         self._next_id += 1
         self._payloads[tier_id] = payload
-        self._dispatch(worker, tier_id, payload)
+        self._instant += self._dispatch(worker, tier_id, payload)
         return tier_id
 
     def _dispatch(self, worker: int, tier_id: int,
                   payload: dict) -> list[int]:
-        """Send one submission to ``worker``; on a dead socket the
+        """Send one submission to ``worker``; if the worker is gone the
         failure path reroutes it (and everything else in flight there)
         to the survivors.  Returns any ids terminated by the failure
         handling (no-survivor fast-fails)."""
@@ -407,28 +522,18 @@ class ProcessWorkerTier:
         self._est[worker] += payload["tokens"]
         self._dirty.add(worker)
         try:
-            _send(self._socks[worker], (payload["op"], message))
+            self._links[worker].send((payload["op"], message))
         except WorkerDied as error:
-            return self._worker_failed(worker, error,
-                                       self._clock())
+            return self._worker_failed(worker, error, self._clock())
         return []
 
     def submit(self, inputs: np.ndarray, mask: np.ndarray | None = None,
                now: float | None = None, deadline: float | None = None,
                ttl: float | None = None) -> int:
-        inputs = np.asarray(inputs)
-        # pre-validate against the handshake so bad requests raise
-        # here, synchronously, exactly like the in-process tier
-        if inputs.ndim not in (1, 2):
-            raise ValueError("submit takes one sequence per request: "
-                             f"(L,) or (L, D), got shape {inputs.shape}")
-        if not 0 < inputs.shape[0] <= self._pad_to:
-            raise ValueError(f"request length {inputs.shape[0]} outside "
-                             f"[1, {self._pad_to}]")
-        mask = (np.ones(inputs.shape[0], dtype=bool) if mask is None
-                else np.asarray(mask, dtype=bool))
+        inputs, mask = check_classify(inputs, mask,
+                                      self.handshake["pad_to"])
         now = self._clock() if now is None else now
-        deadline = self._resolve_deadline(now, deadline, ttl)
+        deadline = resolve_deadline(now, deadline, ttl)
         return self._track(self.pick_worker(), {
             "op": "submit", "kind": "classify", "arrival": now,
             "deadline": deadline, "tokens": int(inputs.shape[0]),
@@ -440,17 +545,11 @@ class ProcessWorkerTier:
                     now: float | None = None,
                     deadline: float | None = None,
                     ttl: float | None = None) -> int:
-        if not self._decode:
-            raise TypeError("model does not support incremental decode; "
-                            "open_stream needs a causal LM")
-        if max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
-        limit = min(self._prefill_width, self._capacity - 1)
-        if prompt.size == 0 or prompt.size > limit:
-            raise ValueError(f"prompt length must be in [1, {limit}]")
+        prompt = check_stream(prompt, max_new_tokens,
+                              self.handshake["prompt_limit"],
+                              self.handshake["decode"])
         now = self._clock() if now is None else now
-        deadline = self._resolve_deadline(now, deadline, ttl)
+        deadline = resolve_deadline(now, deadline, ttl)
         return self._track(self.pick_worker(), {
             "op": "open_stream", "kind": "generate", "arrival": now,
             "deadline": deadline,
@@ -461,27 +560,30 @@ class ProcessWorkerTier:
         })
 
     # -- worker failure -------------------------------------------------
+    def _reply(self, index: int, kind: str):
+        """Worker ``index``'s next reply, which must be ``kind``: its
+        last words, or any other reply, mean the worker is gone."""
+        got, reply = self._links[index].recv()
+        if got == "fatal":
+            raise WorkerDied(f"worker{index}: {reply}")
+        if got != kind:
+            raise WorkerDied(f"worker{index}: protocol desync ({got!r})")
+        return reply
+
     def _worker_failed(self, index: int, error: Exception,
                        now: float) -> list[int]:
-        """A worker is gone: open its breaker, reap the process, and
-        resubmit its in-flight requests to the survivors (original
-        arrival stamps and deadlines — bit-identity makes the reroute
+        """A worker is gone: open its breaker, reap it, and resubmit
+        its in-flight requests to the survivors (original arrival
+        stamps and deadlines — bit-identity makes the reroute
         invisible).  With no survivors the orphans terminate *now*
         with typed ``engine_error`` results.  Returns ids terminated
         here."""
-        if self.health[index].quarantined:
+        link = self._links.pop(index, None)
+        if link is None:
             return []
         self.health[index].mark_dead(now, error)
         self._m_deaths.inc()
-        sock = self._socks.pop(index, None)
-        if sock is not None:
-            sock.close()
-        proc = self._procs.get(index)
-        if proc is not None:
-            proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
+        link.reap()
         self._est.pop(index, None)
         self._dirty.discard(index)
         orphans = sorted(tid for tid, w in self._routes.items()
@@ -492,8 +594,7 @@ class ProcessWorkerTier:
             payload = self._payloads.get(tier_id)
             if payload is None:
                 continue
-            live = self._live()
-            if not live:
+            if not self._links:
                 del self._payloads[tier_id]
                 self._results[tier_id] = ServeResult(
                     request_id=tier_id, kind=payload["kind"],
@@ -507,40 +608,36 @@ class ProcessWorkerTier:
                 completed.append(tier_id)
                 continue
             self._m_rerouted.inc()
-            target = min(live, key=lambda i: (self._est[i], i))
-            completed += self._dispatch(target, tier_id, payload)
+            completed += self._dispatch(self.pick_worker(), tier_id,
+                                        payload)
         return completed
 
     # -- advancing ------------------------------------------------------
     def _round_trip(self, op: str, now: float) -> list[int]:
         """One ``step``/``flush`` fan-out: send every live worker its
-        message first, then read the replies — the workers overlap
-        their scheduler steps while the parent waits.  Returns tier
-        ids completed this round (worker order, deterministic)."""
+        message first, then read the replies — worker processes
+        overlap their scheduler steps while the parent waits.  Returns
+        tier ids completed this round (worker order, deterministic)."""
         self._seq += 1
         pending, self._instant = self._instant, []
-        # ids finished by the caller before we reported them drop out,
-        # exactly like WorkerTier's _completed_ids route filter
+        # ids the caller finished before we reported them drop out
         completed = [tid for tid in pending if tid in self._results]
         message = (op, {"now": now, "seq": self._seq})
         sent = []
-        for index in self._live():
+        for index in list(self._links):
             try:
-                _send(self._socks[index], message)
+                self._links[index].send(message)
             except WorkerDied as error:
                 completed += self._worker_failed(index, error, now)
             else:
                 sent.append(index)
         for index in sent:
-            if self.health[index].quarantined:
-                continue               # died while serving another reply
+            if index not in self._links:
+                continue               # lost while rerouting another's work
             try:
-                kind, reply = _recv(self._socks[index])
-                if kind == "fatal":
-                    raise WorkerDied(f"worker{index}: {reply}")
-                if kind != "stepped" or reply["seq"] != self._seq:
-                    raise WorkerDied(
-                        f"worker{index}: protocol desync ({kind!r})")
+                reply = self._reply(index, "stepped")
+                if reply["seq"] != self._seq:
+                    raise WorkerDied(f"worker{index}: protocol desync")
             except WorkerDied as error:
                 completed += self._worker_failed(index, error, now)
                 continue
@@ -572,32 +669,44 @@ class ProcessWorkerTier:
             completed += self.step()
         return completed
 
-    # -- queue introspection (same surface as WorkerTier) ---------------
+    # -- queue introspection (same surface as ServingEngine) ------------
+    def _reported(self, key: str) -> list:
+        """``key`` from each live worker's last step reply."""
+        return [self._state[i][key] for i in self._links
+                if i in self._state]
+
     def next_deadline(self) -> float | None:
+        """The earliest of the in-flight requests' deadlines and the
+        workers' batch-flush times."""
         deadlines = [p["deadline"] for p in self._payloads.values()
                      if p["deadline"] is not None]
+        deadlines += [d for d in self._reported("next_deadline")
+                      if d is not None]
         return min(deadlines) if deadlines else None
 
     def queue_ready(self, now: float) -> bool:
-        # conservative: new submissions since the last reply may be
-        # due, else trust each worker's last self-report
-        return bool(self._dirty) or any(
-            self._state.get(i, {}).get("queue_ready", False)
-            for i in self._live())
+        # conservative: submissions since the last reply may be due,
+        # and so is anything whose flush time or deadline has passed
+        if self._dirty or any(self._reported("queue_ready")):
+            return True
+        deadline = self.next_deadline()
+        return deadline is not None and deadline <= now
 
     def has_pending(self) -> bool:
         return bool(self._payloads) or bool(self._instant)
 
+    def streams_pending(self) -> bool:
+        """Whether a worker held a live stream at its last step reply."""
+        return any(self._reported("streams_pending"))
+
     def kv_slots_in_use(self) -> int:
-        return sum(self._state.get(i, {}).get("kv_slots_in_use", 0)
-                   for i in self._live())
+        return sum(self._reported("kv_slots_in_use"))
 
     def outstanding_tokens(self) -> int:
-        return sum(self._est[i] for i in self._live())
+        return sum(self._est.values())
 
     def queue_depth(self) -> int:
-        return sum(self._state.get(i, {}).get("queue_depth", 0)
-                   for i in self._live())
+        return sum(self._reported("queue_depth"))
 
     # -- completion -----------------------------------------------------
     def cancel(self, request_id: int) -> bool:
@@ -607,69 +716,64 @@ class ProcessWorkerTier:
         if worker is None:
             raise KeyError(f"unknown request {request_id}")
         try:
-            _send(self._socks[worker],
-                  ("cancel", {"tier_id": request_id,
-                              "now": self._clock()}))
-            kind, ok = _recv(self._socks[worker])
-            if kind != "cancelled":
-                raise WorkerDied(f"worker{worker}: protocol desync")
+            self._links[worker].send(
+                ("cancel", {"tier_id": request_id, "now": self._clock()}))
+            return self._reply(worker, "cancelled")
         except WorkerDied as error:
             self._instant += self._worker_failed(worker, error,
                                                  self._clock())
             return self.cancel(request_id)   # follow the reroute
-        return ok
 
     def result(self, request_id: int) -> ServeResult | None:
         return self._results.get(request_id)
 
     def finish(self, request_id: int) -> ServeResult:
-        if request_id in self._results:
-            result = self._results.pop(request_id)
-            self._routes.pop(request_id, None)
-            self._payloads.pop(request_id, None)
-            if result.error is not None:
-                raise result.error
-            return result
-        worker = self._routes.get(request_id)
-        if worker is None:
-            raise KeyError(f"unknown request {request_id}")
-        try:
-            _send(self._socks[worker],
-                  ("finish", {"tier_id": request_id,
-                              "now": self._clock()}))
-            kind, reply = _recv(self._socks[worker])
-            if kind != "finished":
-                raise WorkerDied(f"worker{worker}: protocol desync")
-        except WorkerDied as error:
-            self._instant += self._worker_failed(worker, error,
-                                                 self._clock())
-            return self.finish(request_id)   # follow the reroute
+        result = self._results.pop(request_id, None)
+        if result is None:
+            worker = self._routes.get(request_id)
+            if worker is None:
+                raise KeyError(f"unknown request {request_id}")
+            try:
+                self._links[worker].send(
+                    ("finish", {"tier_id": request_id,
+                                "now": self._clock()}))
+                result = self._reply(worker, "finished")
+            except WorkerDied as error:
+                self._instant += self._worker_failed(worker, error,
+                                                     self._clock())
+                return self.finish(request_id)   # follow the reroute
+            if isinstance(result, Exception):
+                raise result                     # still live there
         self._routes.pop(request_id, None)
         self._payloads.pop(request_id, None)
-        if isinstance(reply, Exception):
-            raise reply
-        if reply.error is not None:
-            raise reply.error
-        return reply
+        if result.error is not None:
+            raise result.error
+        return result
 
     # -- observability --------------------------------------------------
     @property
-    def workers(self) -> list[int]:
-        """Live worker indexes (surface parity helper for ``len``)."""
-        return self._live()
-
-    @property
     def stats(self) -> dict[str, ServingStats]:
-        """Last :class:`ServingStats` each worker shipped (empty stats
+        """Last :class:`ServingStats` each worker reported (empty stats
         before its first step reply; dead workers keep their last)."""
         return {f"worker{i}": self._state.get(i, {}).get(
                     "stats", ServingStats())
                 for i in sorted(self.health)}
 
     def stats_summary(self) -> dict[str, dict]:
-        """Same rollup shape as :meth:`WorkerTier.stats_summary`, from
-        each worker's last step reply; a dead worker keeps its last
-        reported numbers under ``health: "quarantined"``."""
+        """Tier-level rollup plus the per-worker breakdown, from each
+        worker's last step reply.
+
+        ``{"tier": {...}, "workers": {"worker0": {...}, ...}}`` — the
+        tier entry sums terminal-reason counts, reliability tallies and
+        live load signals across every replica (the numbers
+        ``python -m repro.serve --stats --replicas N`` prints), and
+        each worker row adds a coarse ``health`` verdict: ``ok`` until
+        the worker has contained forward errors, then ``erroring``; a
+        dead worker keeps its last numbers under ``quarantined``."""
+        keys = ("completed", "shed", "errors", "retries", "preemptions",
+                "outstanding_tokens", "kv_slots_in_use", "queue_depth")
+        tier = {"replicas": len(self.health), "reasons": {},
+                **dict.fromkeys(keys, 0)}
         rows = {}
         for index in sorted(self.health):
             state = self._state.get(index, {})
@@ -678,7 +782,7 @@ class ProcessWorkerTier:
                 health = "quarantined"
             else:
                 health = "erroring" if stats.errors else "ok"
-            rows[f"worker{index}"] = {
+            row = rows[f"worker{index}"] = {
                 "health": health,
                 "completed": stats.completed,
                 "reasons": dict(stats.reasons),
@@ -690,28 +794,21 @@ class ProcessWorkerTier:
                 "kv_slots_in_use": state.get("kv_slots_in_use", 0),
                 "queue_depth": state.get("queue_depth", 0),
             }
-        return tier_rollup(rows)
+            for reason, count in row["reasons"].items():
+                tier["reasons"][reason] = (tier["reasons"].get(reason, 0)
+                                           + count)
+            for key in keys:
+                tier[key] += row[key]
+        return {"tier": tier, "workers": rows}
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Shut every worker down cleanly (best-effort ``shutdown`` /
-        ``bye`` round-trip, then join; a worker that won't exit is
-        killed).  Idempotent."""
-        for index in sorted(self._socks):
-            sock = self._socks[index]
-            try:
-                _send(sock, ("shutdown", None))
-                _recv(sock)
-            except Exception:                  # noqa: BLE001
-                pass
-            sock.close()
-        self._socks.clear()
-        for proc in self._procs.values():
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=2.0)
-        self._procs.clear()
+        """Shut every worker down: a worker process gets a clean
+        ``shutdown``/``bye`` round trip and is joined (killed if it
+        won't exit).  Idempotent."""
+        links, self._links = self._links, {}
+        for link in links.values():
+            link.close()
 
     def __enter__(self) -> "ProcessWorkerTier":
         return self

@@ -283,6 +283,10 @@ class ModelRouter:
         return bool(self._instant) or any(
             engine.has_pending() for _, engine in self._live_engines())
 
+    def streams_pending(self) -> bool:
+        return any(engine.streams_pending()
+                   for engine in self.engines.values())
+
     # -- health ---------------------------------------------------------
     def health_states(self) -> dict[str, str]:
         """{model: "healthy" | "degraded" | "quarantined"}."""

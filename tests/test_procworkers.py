@@ -10,6 +10,7 @@ shutdown with no orphan processes, and the memory-mapped snapshot
 loading the workers share pages through.
 """
 
+import asyncio
 import multiprocessing
 import os
 import signal
@@ -19,9 +20,12 @@ import pytest
 
 from repro.core import PrunedInferenceEngine
 from repro.core.engine import load_mmap_state
+from repro.obs import MetricsRegistry
 from repro.serve import (BatchPolicy, ProcessWorkerTier, REASON_CANCELLED,
-                         REASON_ERROR, REASON_OK, ServingEngine,
+                         REASON_ERROR, REASON_OK, REASON_SHED,
+                         SLOAdmission, ServingEngine, WorkerDied,
                          WorkerTier)
+from repro.serve.aio import AsyncServingEngine
 from repro.serve.loadgen import TraceSpec, VirtualClock, replay_trace
 from tests.test_serving import assert_records_identical, make_lm_engine
 
@@ -151,8 +155,8 @@ def test_worker_kill_mid_replay_reroutes_without_leaks(snapshot):
                for _ in range(6)]
         clock.advance(1e-3)
         tier.step(clock())
-        os.kill(tier._procs[0].pid, signal.SIGKILL)
-        tier._procs[0].join(timeout=5)
+        os.kill(tier._links[0].proc.pid, signal.SIGKILL)
+        tier._links[0].proc.join(timeout=5)
         while tier.has_pending():
             clock.advance(1e-3)
             tier.step(clock())
@@ -190,8 +194,8 @@ def test_all_workers_dead_fails_fast_with_typed_errors(snapshot):
     try:
         stream = tier.open_stream(np.arange(1, 5, dtype=np.int64), 4,
                                   now=clock())
-        os.kill(tier._procs[0].pid, signal.SIGKILL)
-        tier._procs[0].join(timeout=5)
+        os.kill(tier._links[0].proc.pid, signal.SIGKILL)
+        tier._links[0].proc.join(timeout=5)
         clock.advance(1e-3)
         done = tier.step(clock())
         assert done == [stream]
@@ -204,6 +208,137 @@ def test_all_workers_dead_fails_fast_with_typed_errors(snapshot):
         tier.close()
 
 
+def _break_step(monkeypatch, tier, index):
+    """Make in-process replica ``index``'s engine raise on every step."""
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected step failure")
+
+    monkeypatch.setattr(tier._links[index].worker.engine, "step", boom)
+
+
+def test_inline_worker_step_failure_reroutes_bit_identically(
+        snapshot, monkeypatch):
+    """An exception inside an in-process replica is that worker's
+    death, not the caller's: the breaker opens and its streams finish
+    on the survivor, bit-identical to solo runs."""
+    tier, clock = make_inproc_tier(snapshot, replicas=2)
+    rng = np.random.default_rng(1)
+    prompts = [rng.integers(1, VOCAB, size=5) for _ in range(6)]
+    ids = [tier.open_stream(prompt, 6, now=clock()) for prompt in prompts]
+    clock.advance(1e-3)
+    tier.step(clock())
+    assert tier.kv_slots_in_use() > 0
+    _break_step(monkeypatch, tier, 0)
+    while tier.has_pending():
+        clock.advance(1e-3)
+        tier.step(clock())
+    results = [tier.finish(i) for i in ids]
+    assert all(r.reason == REASON_OK for r in results)
+    solo = make_solo(snapshot)
+    for prompt, result in zip(prompts, results):
+        stream_id = solo.open_stream(prompt, 6)
+        solo.drain()
+        expected = solo.finish(stream_id)
+        np.testing.assert_array_equal(result.tokens, expected.tokens)
+        np.testing.assert_array_equal(result.logits, expected.logits)
+        assert_records_identical(result.records, expected.records)
+        assert result.hardware == expected.hardware
+    assert tier.health[0].state == "quarantined"
+    assert tier.health[1].state == "healthy"
+    assert tier.kv_slots_in_use() == 0
+    assert tier._links[1].worker.engine.kv_slots_in_use() == 0
+    assert tier.outstanding_tokens() == 0
+    summary = tier.stats_summary()
+    assert summary["workers"]["worker0"]["health"] == "quarantined"
+    assert summary["tier"]["completed"] == len(ids)
+
+
+def test_inline_worker_step_failure_without_survivor_fails_fast(
+        snapshot, monkeypatch):
+    tier, clock = make_inproc_tier(snapshot, replicas=1)
+    stream = tier.open_stream(np.arange(1, 5, dtype=np.int64), 4,
+                              now=clock())
+    clock.advance(1e-3)
+    tier.step(clock())
+    assert tier.kv_slots_in_use() == 1
+    _break_step(monkeypatch, tier, 0)
+    clock.advance(1e-3)
+    assert tier.step(clock()) == [stream]
+    result = tier.result(stream)
+    assert result.reason == REASON_ERROR
+    assert isinstance(result.error, WorkerDied)
+    assert "injected step failure" in str(result.error)
+    assert not tier.has_pending()
+    assert tier.kv_slots_in_use() == 0
+    with pytest.raises(ConnectionError):
+        tier.finish(stream)
+
+
+# ---------------------------------------------------------------------------
+# wall clocks and the asyncio front door, over both links
+# ---------------------------------------------------------------------------
+
+@needs_fork
+@pytest.mark.parametrize("tier_cls", [WorkerTier, ProcessWorkerTier])
+def test_wall_clock_workers_measure_their_steps(snapshot, tier_cls):
+    """On the wall clock a worker's steps take real time: the step
+    histogram records it and the SLO gate's step-time estimate moves.
+    The gate starts at a 1-s estimate, above the 0.5-s TBT target, so
+    it sheds the first stream; one measured step (smoothing 1) brings
+    the estimate down to the real step time and the next stream is
+    admitted."""
+    registry = MetricsRegistry()
+    slo = SLOAdmission(tbt_target=0.5, step_time=1.0, smoothing=1.0)
+    prompt = np.arange(1, 5, dtype=np.int64)
+    with tier_cls.from_snapshot(
+            snapshot, replicas=1,
+            policy=BatchPolicy(max_batch_size=4, max_wait=0.0),
+            slo=slo, registry=registry) as tier:
+        shed = tier.open_stream(prompt, 3)
+        tier.step()
+        assert tier.result(shed).reason == REASON_SHED
+        served = tier.open_stream(prompt, 3)
+        tier.drain()
+        assert tier.finish(served).ok
+    rows = registry.snapshot()["repro_step_seconds"]["series"]
+    (steps,) = [row["value"] for row in rows
+                if row["labels"] == {"engine": "worker0"}]
+    assert steps["count"] >= 2
+    assert steps["sum"] > 0.0
+
+
+@needs_fork
+@pytest.mark.parametrize("tier_cls", [WorkerTier, ProcessWorkerTier])
+def test_async_front_door_over_tiers(snapshot, tmp_path, tier_cls):
+    """The asyncio runner keeps stepping a tier while a worker holds a
+    live stream, and wakes for a batch's ``max_wait`` flush time."""
+    from tests.test_serving import make_classifier_engine
+
+    classifier = str(tmp_path / "classifier")
+    make_classifier_engine(0).save(classifier)
+    prompt = np.arange(1, 5, dtype=np.int64)
+    solo = make_solo(snapshot)
+    stream_id = solo.open_stream(prompt, 6)
+    solo.drain()
+    expected = solo.finish(stream_id)
+
+    async def serve(directory, max_wait, request):
+        tier = tier_cls.from_snapshot(
+            directory, replicas=1,
+            policy=BatchPolicy(max_batch_size=4, max_wait=max_wait))
+        with tier:
+            async with AsyncServingEngine(tier) as serving:
+                return await asyncio.wait_for(request(serving), 30.0)
+
+    result = asyncio.run(serve(
+        snapshot, 0.0, lambda s: s.open_stream(prompt, max_new_tokens=6)))
+    assert result.ok and len(result.tokens) == len(prompt) + 6
+    np.testing.assert_array_equal(result.tokens, expected.tokens)
+    result = asyncio.run(serve(
+        classifier, 0.01, lambda s: s.submit(np.arange(1, 9))))
+    assert result.ok and result.kind == "classify"
+
+
 # ---------------------------------------------------------------------------
 # lifecycle: shutdown, surface, validation
 # ---------------------------------------------------------------------------
@@ -211,7 +346,7 @@ def test_all_workers_dead_fails_fast_with_typed_errors(snapshot):
 @needs_fork
 def test_clean_shutdown_leaves_no_orphans(snapshot):
     tier, _ = make_proc_tier(snapshot, replicas=2)
-    procs = list(tier._procs.values())
+    procs = [link.proc for link in tier._links.values()]
     assert all(p.is_alive() for p in procs)
     tier.close()
     assert all(not p.is_alive() for p in procs)
