@@ -10,7 +10,8 @@ Two traffic shapes, both driven by N concurrent synthetic clients:
   The serial baseline runs ``model.generate`` one stream at a time.
 * ``--mode classify``: each client awaits one-shot classification
   requests through the asyncio front end; the dynamic batcher
-  coalesces across clients into fixed-width padded batches.  The
+  coalesces across clients into batches padded to each request's
+  16-position pad width.  The
   serial baseline is one engine call per request.
 
 Run:  python examples/serving_throughput.py --streams 16 --stagger 2 --quick
@@ -96,8 +97,7 @@ def run_generate(args) -> dict:
 
     serving = ServingEngine(
         engine,
-        BatchPolicy(max_batch_size=max_batch,
-                    max_wait=args.max_wait, pad_to=prompt_max),
+        BatchPolicy(max_batch_size=max_batch, max_wait=args.max_wait),
         preempt_after=args.preempt_after)
     if trace_requests is not None:
         elapsed = replay_trace(serving, trace_requests,
@@ -140,16 +140,6 @@ def run_classify(args) -> float:
     engine = build_classifier_engine(args.seed)
     per_stream = 6 if args.quick else args.requests_per_stream
     traffic = make_traffic(args.streams, per_stream, args.seed)
-    if args.buckets.lower() == "none":
-        buckets = None
-    elif args.buckets.lower() == "auto":
-        # auto-tune the pad ladder from the observed length histogram
-        observed = [len(r) for stream in traffic for r in stream]
-        buckets = BatchPolicy.from_observed(observed).buckets
-        print(f"auto-tuned buckets from {len(observed)} observed "
-              f"lengths: {buckets}")
-    else:
-        buckets = tuple(int(b) for b in args.buckets.split(","))
     max_batch = args.max_batch_size or max(2, min(args.streams, 16) // 2)
 
     warm = traffic[0][0]
@@ -162,8 +152,7 @@ def run_classify(args) -> float:
     serial_rps = len(requests) / (time.perf_counter() - start)
 
     serving = ServingEngine(engine, BatchPolicy(
-        max_batch_size=max_batch, max_wait=args.max_wait,
-        buckets=buckets))
+        max_batch_size=max_batch, max_wait=args.max_wait))
 
     async def main():
         async with AsyncServingEngine(serving) as front:
@@ -213,11 +202,6 @@ def main(argv=None) -> int:
     parser.add_argument("--preempt-after", type=int, default=None,
                         help="generate mode: scheduler preemption "
                              "time slice")
-    parser.add_argument("--buckets", default="none",
-                        help="classify mode: comma-separated pad-width "
-                             "ladder, 'auto' to tune from the observed "
-                             "lengths, 'none' to pad to the model "
-                             "maximum")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero unless batched >= "
@@ -231,8 +215,7 @@ def main(argv=None) -> int:
     from repro.eval import record_bench
     record_bench("serving_throughput", dict(speedups),
                  context={"mode": args.mode, "streams": args.streams,
-                          "stagger": args.stagger, "quick": args.quick,
-                          "buckets": args.buckets})
+                          "stagger": args.stagger, "quick": args.quick})
 
     if args.check and speedups["batched"] < args.min_speedup:
         print(f"FAIL: batched speedup {speedups['batched']:.2f}x below "

@@ -4,8 +4,9 @@
 with an arrival queue and a dynamic batcher.  Two request kinds share
 the submit/step/finish lifecycle:
 
-* one-shot classification requests (``submit``) — coalesced into
-  fixed-width padded batches under the ``BatchPolicy``;
+* one-shot classification requests (``submit``) — coalesced under the
+  ``BatchPolicy`` into batches padded to the requests' shared
+  :func:`~repro.serve.batcher.pad_width`;
 * autoregressive generation streams (``open_stream``) — scheduled by
   a :class:`StepPlanner` that admits waiting streams directly into
   free decode slots of a persistent
@@ -14,12 +15,13 @@ the submit/step/finish lifecycle:
   finished streams in place, and under queue pressure preempts the
   longest-running streams to swappable per-stream KV state.
 
-Everything is bit-stable by construction: batches pad to a fixed
-width, per-stream histories stay left-aligned, and per-request
-hardware estimates are computed from per-request record slices — so a
-request's outputs, pruning masks, and cycle/energy estimates do not
-depend on which other requests happened to be coalesced with it, nor
-on which slot served it.
+Everything is bit-stable by construction: batches and prompt prefills
+pad to a width that depends only on the request, per-stream histories
+stay left-aligned, and per-request hardware estimates are computed
+from per-request record slices — so a request's outputs, pruning
+masks, and cycle/energy estimates do not depend on which other
+requests happened to be coalesced with it, nor on which slot served
+it.
 
 The core is synchronous and clock-injectable (tests drive a virtual
 clock); :mod:`repro.serve.aio` adds the awaitable front door and
@@ -37,7 +39,7 @@ from ..hw.backends import PlaneGroupCache
 from ..obs.metrics import COUNT_BUCKETS, as_registry
 from ..obs.tracing import as_tracer
 from .batcher import BatchPolicy, CoalescedBatch, DynamicBatcher, \
-    QueuedRequest, coalesce
+    QueuedRequest, coalesce, pad_width
 from .hardware import HardwareTotals, slice_record
 from .scheduler import SchedulerConfig, SLOAdmission, StepPlanner
 from .streams import KVSlotBuffer, StreamState
@@ -120,39 +122,68 @@ class ServeResult:
 
 
 # -- request checks, shared by ServingEngine and the worker tier so a
-# bad request raises in the caller whichever front door it came through
-def check_classify(inputs, mask, pad_to: int
+# bad request raises in the caller whichever front door it came through,
+# and never takes down the batch it would have been coalesced into
+def _check_ids(tokens: np.ndarray, config) -> None:
+    """Token ids must index the model's vocabulary: an out-of-range id
+    fails the embedding lookup of its whole batch, and a negative one
+    silently wraps."""
+    vocab = getattr(config, "vocab_size", None)
+    if vocab is None:
+        return
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise ValueError(f"token ids must be integers, got {tokens.dtype}")
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab):
+        raise ValueError(f"token ids must be in [0, {vocab})")
+
+
+def check_classify(inputs, mask, limit: int, config
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """One classification request as arrays: ``inputs`` of (L,) tokens
-    or (L, D) patch features with ``0 < L <= pad_to``, and a boolean
-    mask (all true by default)."""
+    """One classification request as arrays: ``inputs`` shaped for the
+    model ``config`` — (L,) token ids in ``[0, vocab_size)``, or
+    (L, input_dim) patch features — with ``0 < L <= limit``, and an
+    (L,) boolean mask (all true by default)."""
     inputs = np.asarray(inputs)
-    if inputs.ndim not in (1, 2):
+    vocab = getattr(config, "vocab_size", None)
+    dim = getattr(config, "input_dim", None)
+    if vocab is not None:
+        expected, fits = "(L,)", inputs.ndim == 1
+    elif dim is not None:
+        expected = f"(L, {dim})"
+        fits = inputs.ndim == 2 and inputs.shape[1] == dim
+    else:
+        expected, fits = "(L,) or (L, D)", inputs.ndim in (1, 2)
+    if not fits:
         raise ValueError("submit takes one sequence per request: "
-                         f"(L,) or (L, D), got shape {inputs.shape}")
-    if not 0 < inputs.shape[0] <= pad_to:
-        # reject here, not at step() time — a bad request must never
-        # take down the batch it would have been coalesced into
+                         f"{expected}, got shape {inputs.shape}")
+    if not 0 < inputs.shape[0] <= limit:
         raise ValueError(f"request length {inputs.shape[0]} outside "
-                         f"[1, {pad_to}]")
-    mask = (np.ones(inputs.shape[0], dtype=bool) if mask is None
-            else np.asarray(mask, dtype=bool))
+                         f"[1, {limit}]")
+    _check_ids(inputs, config)
+    if mask is None:
+        return inputs, np.ones(inputs.shape[0], dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != inputs.shape[:1]:
+        raise ValueError(f"mask shape {mask.shape} does not match "
+                         f"request length {inputs.shape[0]}")
     return inputs, mask
 
 
-def check_stream(prompt, max_new_tokens: int, prompt_limit: int,
-                 decode: bool) -> np.ndarray:
-    """One generation request's prompt as flat int64 token ids, for a
-    model that decodes incrementally (``decode``), with at most
-    ``prompt_limit`` prompt tokens and ``max_new_tokens >= 1``."""
+def check_stream(prompt, max_new_tokens: int, limit: int, decode: bool,
+                 config) -> np.ndarray:
+    """One generation request's prompt as flat int64 token ids in
+    ``[0, vocab_size)``, for a model that decodes incrementally
+    (``decode``), with at most ``limit`` prompt tokens and
+    ``max_new_tokens >= 1``."""
     if not decode:
         raise TypeError("model does not support incremental decode; "
                         "open_stream needs a causal LM")
     if max_new_tokens < 1:
         raise ValueError("max_new_tokens must be >= 1")
     prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
-    if prompt.size == 0 or prompt.size > prompt_limit:
-        raise ValueError(f"prompt length must be in [1, {prompt_limit}]")
+    if prompt.size == 0 or prompt.size > limit:
+        raise ValueError(f"prompt length must be in [1, {limit}]")
+    _check_ids(prompt, config)
     return prompt
 
 
@@ -293,27 +324,17 @@ class ServingEngine:
         self._retry_backoff = retry_backoff
         self._max_backlog = max_backlog_tokens
         self._sleep = sleep
-        config = getattr(engine.model, "config", None)
-        max_seq_len = getattr(config, "max_seq_len", None)
-        if self.policy.pad_to is not None:
-            self._pad_to = self.policy.pad_to
-        elif max_seq_len is not None:
-            self._pad_to = max_seq_len
-        else:
-            raise ValueError("model config has no max_seq_len; "
-                             "set BatchPolicy.pad_to explicitly")
-        if max_seq_len is not None and self._pad_to > max_seq_len:
-            raise ValueError(f"BatchPolicy.pad_to={self._pad_to} exceeds "
-                             f"the model's max_seq_len={max_seq_len}")
-        self._capacity = max_seq_len or self._pad_to
-        # prompts prefill at a fixed width like any padded batch; a
-        # pad_to below max_seq_len keeps short-prompt prefill cheap
-        # while decode buffers still span the full capacity
-        self._prefill_width = min(self._pad_to, self._capacity)
-        self._prompt_limit = min(self._prefill_width, self._capacity - 1)
+        self._config = getattr(engine.model, "config", None)
+        self._capacity = getattr(self._config, "max_seq_len", None)
+        if self._capacity is None:
+            raise ValueError("model config has no max_seq_len")
+        # classify requests take up to max_seq_len positions and prompts
+        # one fewer; both pad to their own pad_width.  Decode buffers
+        # span the full capacity: a decode batch mixes stream ages, so
+        # its width cannot be a function of one request
         self._can_decode = hasattr(engine.model, "decode_step")
-        self._per_position = getattr(config, "head", None) == "span"
-        self._batcher = DynamicBatcher(self.policy, self._pad_to)
+        self._per_position = getattr(self._config, "head", None) == "span"
+        self._batcher = DynamicBatcher(self.policy, self._capacity)
         self._planner = StepPlanner(SchedulerConfig(
             max_slots=slots or self.policy.max_batch_size,
             preempt_after=preempt_after,
@@ -449,7 +470,8 @@ class ServingEngine:
         ``deadline`` (absolute clock time) or ``ttl`` (seconds from
         now) bounds how long the request may wait or run — past it the
         request is shed with ``deadline_exceeded``."""
-        inputs, mask = check_classify(inputs, mask, self._pad_to)
+        inputs, mask = check_classify(inputs, mask, self._capacity,
+                                      self._config)
         now = self._clock() if now is None else now
         request = QueuedRequest(
             request_id=self._allocate_id(), inputs=inputs, mask=mask,
@@ -475,8 +497,8 @@ class ServingEngine:
         only); ``prompt``: (L,) token ids.  ``deadline``/``ttl`` bound
         the stream's total lifetime — an expired stream stops where it
         is and frees its KV slot."""
-        prompt = check_stream(prompt, max_new_tokens, self._prompt_limit,
-                              self._can_decode)
+        prompt = check_stream(prompt, max_new_tokens, self._capacity - 1,
+                              self._can_decode, self._config)
         now = self._clock() if now is None else now
         stream = StreamState(
             stream_id=self._allocate_id(), tokens=prompt.copy(),
@@ -795,17 +817,17 @@ class ServingEngine:
                 self.stats.retries += 1
                 self._m_retries.inc()
 
-    def _serve_classify(self, bucket: int,
+    def _serve_classify(self, width: int,
                         requests: list[QueuedRequest]) -> list[int]:
         try:
-            batch: CoalescedBatch = coalesce(requests, bucket)
+            batch: CoalescedBatch = coalesce(requests, width)
             predictions, logits, records = self._with_retries(
                 lambda: self.engine.predict_many(
                     batch.inputs, batch.mask,
                     collect_records=self._estimate_hw))
         except Exception as error:       # noqa: BLE001
             # fail exactly this batch's requests; traffic queued in
-            # other buckets/batches must keep flowing
+            # other widths/batches must keep flowing
             self.last_step_errors += 1
             completed = []
             for request in requests:
@@ -928,8 +950,14 @@ class ServingEngine:
             caches, stream.caches = stream.caches, None
             slots.admit(stream, caches)
         completed: list[int] = []
-        if fresh:
-            completed += self._prefill(fresh, slots)
+        # fresh streams prefill at their own prompt's pad width: one
+        # coalesced forward per width present, narrowest first
+        by_width: dict[int, list[StreamState]] = {}
+        for stream in fresh:
+            by_width.setdefault(pad_width(stream.length, self._capacity),
+                                []).append(stream)
+        for width in sorted(by_width):
+            completed += self._prefill(by_width[width], width, slots)
         self.stats.record_step(admitted=len(admitted),
                                preempted=len(plan.preempt),
                                resumed=len(resumed))
@@ -947,14 +975,13 @@ class ServingEngine:
         return completed
 
     # -- model-facing sub-steps -----------------------------------------
-    def _prefill(self, streams: list[StreamState],
+    def _prefill(self, streams: list[StreamState], width: int,
                  slots: KVSlotBuffer) -> list[int]:
-        """Coalesced prompt prefill; survivors move straight into the
-        slot buffer."""
+        """Coalesced prompt prefill at pad ``width``; survivors move
+        straight into the slot buffer."""
         model = self.engine.model
         lengths = np.array([s.length for s in streams], dtype=np.int64)
-        tokens = np.zeros((len(streams), self._prefill_width),
-                          dtype=np.int64)
+        tokens = np.zeros((len(streams), width), dtype=np.int64)
         for i, stream in enumerate(streams):
             tokens[i, :stream.length] = stream.tokens
         try:

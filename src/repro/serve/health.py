@@ -122,23 +122,6 @@ class EngineHealth:
                 self.consecutive_failures)
         return self.state
 
-    def mark_dead(self, now: float,
-                  error: Exception | None = None) -> str:
-        """A hard, non-transient failure — the worker *process* behind
-        this engine died (socket EOF, kill signal).  No point walking
-        the backoff ladder: open the circuit immediately so the router
-        or tier reroutes the in-flight work at once.  With a
-        ``cooldown`` configured the usual half-open probe still
-        applies, which is how a restarted worker would be let back
-        in."""
-        self.consecutive_failures = max(self.consecutive_failures + 1,
-                                        self.policy.quarantine_after)
-        self.total_failures += 1
-        self.last_error = error
-        self.quarantined_at = now
-        self.retry_at = None
-        return self.state
-
     def reinstate(self) -> None:
         """Half-open probe admission: back to degraded with one strike
         left before re-quarantine."""

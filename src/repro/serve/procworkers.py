@@ -52,9 +52,8 @@ process boundary — so tier replays are bit-identical per request to
 solo reference runs (pinned by ``tests/test_procworkers.py``).
 
 **Fault tolerance.**  A lost worker (socket EOF, kill signal, step
-timeout, or an exception raised inside an in-process worker) routes
-through :class:`~repro.serve.health.EngineHealth` as
-:meth:`~repro.serve.health.EngineHealth.mark_dead`, and its in-flight
+timeout, or an exception raised inside an in-process worker) is
+quarantined for good — never probed or reinstated — and its in-flight
 requests are resubmitted to the survivors with their original arrival
 stamps and deadlines — bit-identity makes the reroute invisible in
 the results.  With no survivors the requests terminate fast with
@@ -81,7 +80,6 @@ from .batcher import BatchPolicy
 from .engine import (REASON_ERROR, RequestTiming, ServeResult,
                      ServingEngine, ServingStats, check_classify,
                      check_stream, resolve_deadline)
-from .health import EngineHealth, HealthPolicy
 
 __all__ = ["ProcessWorkerTier", "WorkerDied"]
 
@@ -183,10 +181,10 @@ class _Worker:
         before they leave the caller, and the model's config."""
         engine = self.engine
         return ("ready", {
-            "pad_to": engine._pad_to,
-            "prompt_limit": engine._prompt_limit,
+            "pad_to": engine._capacity,
+            "prompt_limit": engine._capacity - 1,
             "decode": engine._can_decode,
-            "config": getattr(engine.engine.model, "config", None),
+            "config": engine._config,
         })
 
     def handle(self, op: str, payload):
@@ -393,7 +391,6 @@ class ProcessWorkerTier:
     def __init__(self, directory: str, procs: int,
                  policy: BatchPolicy | None = None,
                  clock=time.monotonic, mmap: bool = True,
-                 health: HealthPolicy | None = None,
                  step_timeout: float = 60.0,
                  registry=None, tracer=None, **engine_kwargs):
         self._links: dict = {}                 # live worker index -> link
@@ -421,7 +418,8 @@ class ProcessWorkerTier:
         self._state: dict[int, dict] = {}      # last step reply
         self._trace_maps: dict[int, dict] = {} # worker pid remap tables
         self._dirty: set[int] = set()          # sends since last step
-        self.health = {i: EngineHealth(health) for i in range(procs)}
+        self._replicas = procs
+        self._dead: set[int] = set()           # quarantined for good
         if mmap:
             # expand the weight sidecar once, before any worker opens
             # it, so workers only ever open a published sidecar
@@ -480,8 +478,9 @@ class ProcessWorkerTier:
         replica's weights as read-only memory maps of one shared
         on-disk sidecar instead of private heap copies (see
         :func:`repro.core.engine.load_mmap_state`).  ``registry=`` and
-        ``tracer=`` observe the whole tier; ``health=`` and
-        ``step_timeout=`` set the worker-failure policy; the other
+        ``tracer=`` observe the whole tier; ``step_timeout=`` bounds
+        how long a worker may take to reply before it counts as dead;
+        the other
         ``engine_kwargs`` (``step_token_budget=``, ``preempt_after=``,
         ``slo=``, ``estimate_hardware=``, ...) configure every worker's
         :class:`~repro.serve.engine.ServingEngine` identically — an
@@ -531,7 +530,8 @@ class ProcessWorkerTier:
                now: float | None = None, deadline: float | None = None,
                ttl: float | None = None) -> int:
         inputs, mask = check_classify(inputs, mask,
-                                      self.handshake["pad_to"])
+                                      self.handshake["pad_to"],
+                                      self.handshake["config"])
         now = self._clock() if now is None else now
         deadline = resolve_deadline(now, deadline, ttl)
         return self._track(self.pick_worker(), {
@@ -547,7 +547,8 @@ class ProcessWorkerTier:
                     ttl: float | None = None) -> int:
         prompt = check_stream(prompt, max_new_tokens,
                               self.handshake["prompt_limit"],
-                              self.handshake["decode"])
+                              self.handshake["decode"],
+                              self.handshake["config"])
         now = self._clock() if now is None else now
         deadline = resolve_deadline(now, deadline, ttl)
         return self._track(self.pick_worker(), {
@@ -572,7 +573,7 @@ class ProcessWorkerTier:
 
     def _worker_failed(self, index: int, error: Exception,
                        now: float) -> list[int]:
-        """A worker is gone: open its breaker, reap it, and resubmit
+        """A worker is gone: quarantine it, reap it, and resubmit
         its in-flight requests to the survivors (original arrival
         stamps and deadlines — bit-identity makes the reroute
         invisible).  With no survivors the orphans terminate *now*
@@ -581,7 +582,7 @@ class ProcessWorkerTier:
         link = self._links.pop(index, None)
         if link is None:
             return []
-        self.health[index].mark_dead(now, error)
+        self._dead.add(index)
         self._m_deaths.inc()
         link.reap()
         self._est.pop(index, None)
@@ -757,7 +758,7 @@ class ProcessWorkerTier:
         before its first step reply; dead workers keep their last)."""
         return {f"worker{i}": self._state.get(i, {}).get(
                     "stats", ServingStats())
-                for i in sorted(self.health)}
+                for i in range(self._replicas)}
 
     def stats_summary(self) -> dict[str, dict]:
         """Tier-level rollup plus the per-worker breakdown, from each
@@ -772,13 +773,13 @@ class ProcessWorkerTier:
         dead worker keeps its last numbers under ``quarantined``."""
         keys = ("completed", "shed", "errors", "retries", "preemptions",
                 "outstanding_tokens", "kv_slots_in_use", "queue_depth")
-        tier = {"replicas": len(self.health), "reasons": {},
+        tier = {"replicas": self._replicas, "reasons": {},
                 **dict.fromkeys(keys, 0)}
         rows = {}
-        for index in sorted(self.health):
+        for index in range(self._replicas):
             state = self._state.get(index, {})
             stats = state.get("stats", ServingStats())
-            if self.health[index].quarantined:
+            if index in self._dead:
                 health = "quarantined"
             else:
                 health = "erroring" if stats.errors else "ok"

@@ -200,7 +200,9 @@ def run_traced_tier(snapshot, registry, tracer):
         policy=BatchPolicy(max_batch_size=4, max_wait=0.0),
         clock=clock, step_token_budget=32,
         registry=registry, tracer=tracer)
-    trace = TraceSpec(seed=3, requests=24, process="bursty")
+    # token ids from make_lm_engine's 40-word vocabulary
+    trace = TraceSpec(seed=3, requests=24, process="bursty",
+                      vocab_size=40)
     return replay_trace(tier, trace, clock=clock)
 
 

@@ -176,8 +176,6 @@ def test_worker_kill_mid_replay_reroutes_without_leaks(snapshot):
             np.testing.assert_array_equal(result.logits,
                                           expected.logits)
         # the breaker opened, the KV accounting drained to zero
-        assert tier.health[0].state == "quarantined"
-        assert tier.health[1].state == "healthy"
         assert tier.kv_slots_in_use() == 0
         assert tier.outstanding_tokens() == 0
         summary = tier.stats_summary()
@@ -243,13 +241,12 @@ def test_inline_worker_step_failure_reroutes_bit_identically(
         np.testing.assert_array_equal(result.logits, expected.logits)
         assert_records_identical(result.records, expected.records)
         assert result.hardware == expected.hardware
-    assert tier.health[0].state == "quarantined"
-    assert tier.health[1].state == "healthy"
     assert tier.kv_slots_in_use() == 0
     assert tier._links[1].worker.engine.kv_slots_in_use() == 0
     assert tier.outstanding_tokens() == 0
     summary = tier.stats_summary()
     assert summary["workers"]["worker0"]["health"] == "quarantined"
+    assert summary["workers"]["worker1"]["health"] == "ok"
     assert summary["tier"]["completed"] == len(ids)
 
 

@@ -5,8 +5,10 @@ schedule-independent results — all driven by a virtual clock."""
 import asyncio
 
 import numpy as np
+import pytest
 
-from repro.serve import AsyncServingEngine, BatchPolicy, ServingEngine
+from repro.serve import AsyncServingEngine, BatchPolicy, ServingEngine, \
+    WorkerTier
 from tests.test_serving import make_classifier_engine, make_lm_engine
 
 
@@ -152,12 +154,45 @@ def test_oversized_request_rejected_at_submit():
     assert serving.step() == [good]        # neighbour still served
 
 
-def test_pad_to_beyond_model_capacity_rejected():
-    import pytest
-    from repro.serve import BatchPolicy, ServingEngine
-    with pytest.raises(ValueError, match="pad_to=40 exceeds"):
-        ServingEngine(make_classifier_engine(0),
-                      BatchPolicy(pad_to=40))
+@pytest.mark.parametrize("front", ["engine", "tier"])
+def test_malformed_request_rejected_at_submit_among_good_ones(front,
+                                                              tmp_path):
+    """A malformed request — a mask of the wrong length, a 2-D input to
+    a token model, a token id outside ``[0, vocab_size)`` — raises
+    ``ValueError`` at submit on the engine and on the tier (which
+    checks against the handshake's model config), and the good
+    requests around it all finish ok instead of failing as one
+    ``engine_error`` batch."""
+    def serve(core, name):
+        policy = BatchPolicy(max_batch_size=8, max_wait=0.0)
+        if front == "engine":
+            return ServingEngine(core, policy)
+        core.save(str(tmp_path / name))
+        return WorkerTier.from_snapshot(str(tmp_path / name), replicas=1,
+                                        policy=policy)
+
+    rng = np.random.default_rng(8)
+    classifier = serve(make_classifier_engine(0), "classifier")  # vocab 50
+    ids = [classifier.submit(rng.integers(0, 50, size=5))]
+    for inputs, mask in [(np.arange(5), np.ones(4, dtype=bool)),
+                         (np.zeros((5, 3), dtype=np.int64), None),
+                         (np.array([1, 50, 2]), None),
+                         (np.array([1, -1, 2]), None),
+                         (np.array([1.0, 2.0]), None)]:
+        with pytest.raises(ValueError):
+            classifier.submit(inputs, mask)
+        ids.append(classifier.submit(rng.integers(0, 50, size=7)))
+    classifier.drain()
+    assert all(classifier.finish(i).ok for i in ids)
+
+    lm = serve(make_lm_engine(0), "lm")                           # vocab 40
+    ids = [lm.open_stream(rng.integers(0, 40, size=4), 3)]
+    for prompt in (np.array([3, 40]), np.array([-1, 3])):
+        with pytest.raises(ValueError, match="token ids"):
+            lm.open_stream(prompt, 3)
+        ids.append(lm.open_stream(rng.integers(0, 40, size=6), 3))
+    lm.drain()
+    assert all(lm.finish(i).ok for i in ids)
 
 
 def test_async_serve_error_fails_clients_not_runner():
@@ -196,118 +231,13 @@ def test_async_serve_error_fails_clients_not_runner():
     assert retry.prediction == 0           # runner survived the error
 
 
-def test_batch_policy_from_observed_auto_tunes_buckets():
-    """The tuned ladder serves the observed traffic in no more
-    batch-slots than any hand-picked ladder of the allowed size,
-    always covers the longest request, and a handful of observed
-    lengths yields full batches instead of one bucket per length."""
-    from itertools import combinations
-
-    import pytest
-
-    from repro.serve import BatchPolicy
-
-    rng = np.random.default_rng(0)
-    # bimodal traffic: many short requests, a long tail
-    lengths = np.concatenate([rng.integers(3, 9, size=80),
-                              rng.integers(40, 65, size=20)]).tolist()
-
-    policy = BatchPolicy.from_observed(lengths, max_buckets=3)
-    assert policy.buckets is not None
-    assert policy.buckets[-1] == max(lengths)
-
-    size = BatchPolicy.max_batch_size   # the default the tuner assumed
-
-    def served_slots(buckets):
-        slots, lower = 0, 0
-        for width in buckets:
-            count = sum(1 for n in lengths if lower < n <= width)
-            slots += -(-count // size) * size * width
-            lower = width
-        return slots
-
-    best = served_slots(policy.buckets)
-    tail = [u for u in sorted(set(lengths)) if u != max(lengths)]
-    exhaustive = min(
-        served_slots(tuple(sorted(c)) + (max(lengths),))
-        for k in range(3) for c in combinations(tail, k))
-    assert best <= exhaustive            # the DP is exact
-    # bimodal traffic must beat single full-width padding outright
-    assert best < served_slots((max(lengths),))
-
-    # 3 observed requests at B=8: one near-full batch at width 9
-    # (72 slots) beats a per-length ladder (2 batches, 104 slots)
-    few = BatchPolicy.from_observed([4, 4, 9], max_buckets=8)
-    assert few.buckets == (9,)
-    options = BatchPolicy.ladder_options([4, 4, 9], max_buckets=8)
-    assert [o.buckets for o in options] == [(9,), (4, 9)]
-    assert options[0].served_slots == 72
-    assert options[1].served_slots == 104
-    assert options[1].padded_tokens < options[0].padded_tokens
-    assert options[0].fullness > options[1].fullness
-
-    with pytest.raises(ValueError, match="positive lengths"):
-        BatchPolicy.from_observed([])
-    tuned = BatchPolicy.from_observed(lengths, max_buckets=2,
-                                      max_batch_size=16)
-    assert tuned.max_batch_size == 16    # kwargs shape the slot costs too
-
-
-def test_batch_policy_from_observed_matches_brute_force():
-    """Property test: on randomized small length sets the tuner's DP
-    is exact — for every allowed bucket count its ladder serves the
-    traffic in exactly the minimum ``served_slots`` over *all* ladders
-    (brute-force enumeration of every subset of observed lengths with
-    the maximum always included)."""
-    from itertools import combinations
-
-    from repro.serve import BatchPolicy
-
-    def served_slots(buckets, lengths, size):
-        slots, lower = 0, 0
-        for width in buckets:
-            count = sum(1 for n in lengths if lower < n <= width)
-            slots += -(-count // size) * size * width
-            lower = width
-        return slots
-
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        lengths = rng.integers(1, 21,
-                               size=int(rng.integers(1, 13))).tolist()
-        max_buckets = int(rng.integers(1, 5))
-        size = int(rng.choice([2, 4, 8]))
-        top = max(lengths)
-        tail = [u for u in sorted(set(lengths)) if u != top]
-
-        best_by_count = {}          # bucket count -> brute-force optimum
-        for k in range(min(max_buckets, len(tail) + 1)):
-            best_by_count[k + 1] = min(
-                served_slots(tuple(sorted(c)) + (top,), lengths, size)
-                for c in combinations(tail, k))
-
-        tuned = BatchPolicy.from_observed(lengths, max_buckets=max_buckets,
-                                          max_batch_size=size)
-        assert served_slots(tuned.buckets, lengths, size) \
-            == min(best_by_count.values()), (seed, lengths, tuned.buckets)
-        assert tuned.buckets[-1] == top
-
-        options = BatchPolicy.ladder_options(lengths,
-                                             max_buckets=max_buckets,
-                                             max_batch_size=size)
-        for option in options:
-            assert option.served_slots \
-                == served_slots(option.buckets, lengths, size)
-            assert option.served_slots == best_by_count[len(option.buckets)]
-
-
 def test_stream_queue_fifo_and_discard():
     """The batcher's stream admission queue pops FIFO by enqueue time
     (planner-driven), and discards waiting streams on early finish."""
     from repro.serve import BatchPolicy, DynamicBatcher
     from repro.serve.streams import StreamState
 
-    batcher = DynamicBatcher(BatchPolicy(), pad_to=8)
+    batcher = DynamicBatcher(BatchPolicy(), max_len=8)
     streams = [StreamState(stream_id=i, tokens=np.array([1]),
                            max_new_tokens=1, arrival=float(i))
                for i in range(5)]
@@ -351,118 +281,61 @@ def test_async_concurrent_clients_coalesce():
 
 
 # ---------------------------------------------------------------------------
-# per-bucket flush sizes
+# the pad-width ladder
 # ---------------------------------------------------------------------------
 
-def test_batch_policy_per_bucket_sizes_pair_sort_and_lookup():
-    """``bucket_batch_sizes`` pairs one flush size per ladder entry,
-    stays paired when the ladder is sorted, and unknown buckets (the
-    ``pad_to`` fallback) use the global ``max_batch_size``."""
-    import pytest
+def test_pad_width_ladder_boundaries():
+    """A request pads to the smallest multiple of 16 positions that
+    holds it, capped at the model's max_seq_len."""
+    from repro.serve.batcher import PAD_STEP, pad_width
 
-    from repro.serve import BatchPolicy
-
-    policy = BatchPolicy(max_batch_size=8, buckets=(16, 4),
-                         bucket_batch_sizes=(2, 6))
-    assert policy.buckets == (4, 16)
-    assert policy.bucket_batch_sizes == (6, 2)
-    assert policy.batch_size_for(4) == 6
-    assert policy.batch_size_for(16) == 2
-    assert policy.batch_size_for(32) == 8     # pad_to fallback bucket
-
-    with pytest.raises(ValueError, match="bucket ladder"):
-        BatchPolicy(bucket_batch_sizes=(2,))
-    with pytest.raises(ValueError, match="one size per"):
-        BatchPolicy(buckets=(4, 16), bucket_batch_sizes=(2,))
-    with pytest.raises(ValueError, match=">= 1"):
-        BatchPolicy(buckets=(4, 16), bucket_batch_sizes=(2, 0))
-    with pytest.raises(ValueError, match="duplicate"):
-        BatchPolicy(buckets=(4, 4), bucket_batch_sizes=(2, 3))
+    assert PAD_STEP == 16
+    assert pad_width(1, 64) == 16
+    assert pad_width(16, 64) == 16
+    assert pad_width(17, 64) == 32
+    assert [pad_width(n, 64) for n in (32, 33, 48, 49, 64)] \
+        == [32, 48, 48, 64, 64]
+    assert pad_width(16, 24) == 16
+    assert pad_width(17, 24) == 24         # capped at max_seq_len 24
+    assert pad_width(24, 24) == 24
 
 
-def test_dynamic_batcher_flushes_at_per_bucket_sizes():
-    """A wide bucket with a small flush size goes due at its own
-    threshold and pops at most that many, while narrow buckets keep
-    coalescing to the global size."""
+def test_dynamic_batcher_flushes_oldest_due_width_first():
+    """Requests queue per pad width and a queue is due once it holds
+    ``max_batch_size`` requests or its oldest has waited ``max_wait``.
+    The due queue holding the oldest request pops first, even ahead of
+    a full one; a pop without a clock (flush, drain) takes the oldest
+    queue whether it is due or not."""
     from repro.serve import BatchPolicy, DynamicBatcher, QueuedRequest
 
-    policy = BatchPolicy(max_batch_size=4, max_wait=100.0,
-                         buckets=(4, 16), bucket_batch_sizes=(4, 2))
-    batcher = DynamicBatcher(policy, pad_to=32)
+    batcher = DynamicBatcher(BatchPolicy(max_batch_size=2, max_wait=1.0),
+                             max_len=64)
 
     def queue(request_id, length, arrival):
         batcher.add(QueuedRequest(
             request_id, np.zeros(length, dtype=np.int64),
             np.ones(length, dtype=bool), arrival))
 
-    queue(0, 3, 0.0)
-    queue(1, 3, 0.1)
-    queue(2, 10, 0.2)
-    assert not batcher.ready(0.3)          # short 2/4, long 1/2
-    queue(3, 12, 0.3)
-    assert batcher.ready(0.3)              # long bucket hit its cap
-    bucket, popped = batcher.pop(0.3)
-    assert bucket == 16
-    assert [r.request_id for r in popped] == [2, 3]
-    assert not batcher.ready(0.4)          # shorts still below 4
-    queue(4, 2, 0.4)
-    queue(5, 4, 0.5)
-    bucket, popped = batcher.pop(0.5)
-    assert bucket == 4
-    assert [r.request_id for r in popped] == [0, 1, 4, 5]
+    def pop(now=None):
+        width, requests = batcher.pop(now)
+        return width, [r.request_id for r in requests]
 
-
-def test_from_observed_max_batch_tokens_derives_bucket_sizes():
-    """``max_batch_tokens`` caps each bucket's flush at
-    ``clamp(max_batch_tokens // width, 1, max_batch_size)`` so every
-    flush moves roughly the same padded-token volume."""
-    import pytest
-
-    from repro.serve import BatchPolicy
-
-    lengths = [4] * 8 + [16] * 8
-    policy = BatchPolicy.from_observed(lengths, max_buckets=2,
-                                       max_batch_tokens=32,
-                                       max_batch_size=8)
-    assert policy.buckets == (4, 16)
-    assert policy.bucket_batch_sizes == (8, 2)
-    assert policy.batch_size_for(4) * 4 <= 32
-    assert policy.batch_size_for(16) * 16 <= 32
-
-    floor = BatchPolicy.from_observed(lengths, max_buckets=2,
-                                      max_batch_tokens=1)
-    assert floor.bucket_batch_sizes == (1, 1)   # clamped up to 1
-
-    untuned = BatchPolicy.from_observed(lengths, max_buckets=2)
-    assert untuned.bucket_batch_sizes is None
-
-    with pytest.raises(ValueError, match="max_batch_tokens"):
-        BatchPolicy.from_observed(lengths, max_batch_tokens=0)
-
-
-def test_serving_engine_respects_per_bucket_flush_size():
-    """End to end: a wide bucket capped at 2 serves its requests in
-    batches of 2 even though the global size is 4 — and stays
-    bit-identical to solo serving."""
-    from repro.serve import BatchPolicy
-
-    clock = [0.0]
-    serving = ServingEngine(
-        make_classifier_engine(0),
-        BatchPolicy(max_batch_size=4, max_wait=0.0, buckets=(4, 16),
-                    bucket_batch_sizes=(4, 2)),
-        clock=lambda: clock[0])
-    rng = np.random.default_rng(3)
-    inputs = [rng.integers(0, 50, size=10) for _ in range(4)]
-    ids = [serving.submit(x) for x in inputs]
-    serving.drain()
-    solo = ServingEngine(make_classifier_engine(0),
-                         BatchPolicy(max_batch_size=1, max_wait=0.0))
-    for request_id, x in zip(ids, inputs):
-        result = serving.finish(request_id)
-        assert result.batch_sizes == [2]
-        alone = solo.submit(x)
-        solo.drain()
-        expected = solo.finish(alone)
-        assert result.prediction == expected.prediction
-        np.testing.assert_array_equal(result.logits, expected.logits)
+    queue(0, 3, 0.0)                       # width 16
+    queue(1, 40, 0.2)                      # width 48
+    queue(2, 20, 0.5)                      # width 32
+    assert not batcher.ready(0.5)          # nothing full, nothing old
+    queue(3, 30, 1.1)                      # width 32 is now full
+    assert batcher.ready(1.1)
+    assert pop(1.1) == (16, [0])           # due since 1.0, and oldest
+    assert pop(1.1) == (32, [2, 3])        # full
+    assert not batcher.ready(1.1)          # width 48 waits until 1.2
+    assert batcher.ready(1.2)
+    assert pop(1.2) == (48, [1])
+    queue(4, 50, 2.0)                      # width 64
+    queue(5, 20, 2.1)                      # width 32
+    queue(6, 5, 2.2)                       # width 16
+    assert not batcher.ready(2.2)
+    assert pop() == (64, [4])              # no clock: oldest, not due
+    assert pop(3.5) == (32, [5])           # oldest head, not oldest queue
+    assert pop(3.5) == (16, [6])
+    assert len(batcher) == 0

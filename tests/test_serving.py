@@ -34,24 +34,22 @@ def make_lm_engine(seed=0):
     return PrunedInferenceEngine(model, controller)
 
 
-def make_serving(engine, max_batch_size, **policy_kwargs):
+def make_serving(engine, max_batch_size):
     clock = [0.0]
     return ServingEngine(
-        engine, BatchPolicy(max_batch_size=max_batch_size, max_wait=0.0,
-                            **policy_kwargs),
+        engine, BatchPolicy(max_batch_size=max_batch_size, max_wait=0.0),
         estimate_hardware=True, clock=lambda: clock[0])
 
 
-def serve_classify(engine, requests, max_batch_size, **policy_kwargs):
-    serving = make_serving(engine, max_batch_size, **policy_kwargs)
+def serve_classify(engine, requests, max_batch_size):
+    serving = make_serving(engine, max_batch_size)
     ids = [serving.submit(r) for r in requests]
     serving.drain()
     return [serving.finish(i) for i in ids], serving
 
 
-def serve_streams(engine, prompts, max_new_tokens, max_batch_size,
-                  **policy_kwargs):
-    serving = make_serving(engine, max_batch_size, **policy_kwargs)
+def serve_streams(engine, prompts, max_new_tokens, max_batch_size):
+    serving = make_serving(engine, max_batch_size)
     ids = [serving.open_stream(p, max_new_tokens) for p in prompts]
     serving.drain()
     return [serving.finish(i) for i in ids], serving
@@ -139,34 +137,54 @@ def test_lm_streams_batched_vs_solo_bit_identical(seed):
         assert got.hardware == expected.hardware
 
 
-@pytest.mark.parametrize("policy_kwargs",
-                         [{"buckets": (8, 16, 24)}, {"pad_to": 16}])
-def test_classify_bucketed_and_custom_pad_still_bit_identical(
-        policy_kwargs):
-    """Padding policies (bucket ladder, narrow fixed width) change the
-    pad width per request but never per composition, so equivalence
-    must survive them."""
+def test_classify_mixed_widths_bit_identical():
+    """A drain whose requests span pad widths 16 and 24 coalesces per
+    width, and every request stays bit-identical to a solo run:
+    logits, predictions, records and hardware estimates."""
     engine = make_classifier_engine(1)
     rng = np.random.default_rng(13)
     requests = [rng.integers(0, 50, size=int(n))
-                for n in rng.integers(1, 17, size=9)]
-    batched, _ = serve_classify(engine, requests, 4, **policy_kwargs)
-    solo, _ = serve_classify(engine, requests, 1, **policy_kwargs)
+                for n in (3, 20, 16, 17, 9, 24, 1, 12)]
+    batched, serving = serve_classify(engine, requests, 4)
+    solo, _ = serve_classify(engine, requests, 1)
+    # widths 16 (five requests: 4 + 1) and 24 (three requests)
+    assert serving.stats.batches == 3
+    assert serving.stats.max_batch_size == 4
     for got, expected in zip(batched, solo):
         np.testing.assert_array_equal(got.logits, expected.logits)
+        assert got.prediction == expected.prediction
         assert_records_identical(got.records, expected.records)
         assert got.hardware == expected.hardware
 
 
 def test_lm_streams_narrow_prefill_pad_bit_identical():
-    """pad_to below max_seq_len prefills prompts at a narrow fixed
-    width while decode buffers span the full capacity."""
+    """Fresh streams prefill at their own prompt's pad width: prompts
+    of 5 and 20 tokens on a 32-position LM admitted in one step make
+    one prefill forward at width 16 and one at width 32 (narrowest
+    first), while decode buffers span the full capacity — and every
+    stream stays bit-identical to a solo run."""
     engine = make_lm_engine(2)
     rng = np.random.default_rng(21)
-    prompts = [rng.integers(1, 40, size=int(n))
-               for n in rng.integers(1, 9, size=5)]
-    batched, _ = serve_streams(engine, prompts, 5, 4, pad_to=8)
-    solo, _ = serve_streams(engine, prompts, 5, 1, pad_to=8)
+    prompts = [rng.integers(1, 40, size=n) for n in (5, 20, 3, 17)]
+    widths = []
+    prefill = engine.model.prefill
+
+    def recording_prefill(tokens, lengths):
+        widths.append(tokens.shape[1])
+        return prefill(tokens, lengths)
+
+    engine.model.prefill = recording_prefill
+    try:
+        serving = make_serving(engine, 4)
+        ids = [serving.open_stream(p, 5) for p in prompts]
+        serving.step()
+        assert widths == [16, 32]          # one step, one call per width
+        assert serving.stats.admitted == 4
+        serving.drain()
+        batched = [serving.finish(i) for i in ids]
+    finally:
+        del engine.model.prefill
+    solo, _ = serve_streams(engine, prompts, 5, 1)
     for got, expected in zip(batched, solo):
         np.testing.assert_array_equal(got.tokens, expected.tokens)
         np.testing.assert_array_equal(got.logits, expected.logits)
@@ -189,8 +207,9 @@ def test_traffic_totals_aggregate_per_request():
     assert np.isclose(totals.energy_pj,
                       sum(r.hardware.energy_pj for r in results))
     assert totals.speedup_vs_baseline > 1.0
-    assert serving.stats.batches == 2
-    assert serving.stats.mean_batch_size == 4.0
+    # widths 16 (six requests: 4 + 2) and 24 (two requests)
+    assert serving.stats.batches == 3
+    assert serving.stats.mean_batch_size == 8 / 3
 
 
 def test_classify_estimates_bypass_pack_cache():
