@@ -9,7 +9,7 @@ import pytest
 from repro.core import PrunedInferenceEngine
 from repro.models import (ClassifierConfig, LMConfig,
                           TransformerClassifier, TransformerLM)
-from repro.serve import BatchPolicy, ServingEngine
+from repro.serve import BatchPolicy, ServingEngine, pad_width
 
 MAX_SEQ = 24
 
@@ -34,15 +34,17 @@ def make_lm_engine(seed=0):
     return PrunedInferenceEngine(model, controller)
 
 
-def make_serving(engine, max_batch_size):
+def make_serving(engine, max_batch_size, **policy_kwargs):
     clock = [0.0]
+    policy = dict(max_batch_size=max_batch_size, max_wait=0.0)
+    policy.update(policy_kwargs)
     return ServingEngine(
-        engine, BatchPolicy(max_batch_size=max_batch_size, max_wait=0.0),
+        engine, BatchPolicy(**policy),
         estimate_hardware=True, clock=lambda: clock[0])
 
 
-def serve_classify(engine, requests, max_batch_size):
-    serving = make_serving(engine, max_batch_size)
+def serve_classify(engine, requests, max_batch_size, **policy_kwargs):
+    serving = make_serving(engine, max_batch_size, **policy_kwargs)
     ids = [serving.submit(r) for r in requests]
     serving.drain()
     return [serving.finish(i) for i in ids], serving
@@ -153,6 +155,27 @@ def test_classify_mixed_widths_bit_identical():
     for got, expected in zip(batched, solo):
         np.testing.assert_array_equal(got.logits, expected.logits)
         assert got.prediction == expected.prediction
+        assert_records_identical(got.records, expected.records)
+        assert got.hardware == expected.hardware
+
+
+@pytest.mark.parametrize("policy_kwargs",
+                         [{"max_wait": 0.0}, {"max_wait": 1.0}])
+def test_classify_bucketed_and_custom_pad_still_bit_identical(
+        policy_kwargs):
+    """Random lengths land on both rungs of the pad-width ladder: the
+    16-wide bucket and the custom top width 24 (the model's capacity,
+    not a multiple of 16).  The width depends on the request alone, so
+    equivalence to solo runs must survive any coalescing policy."""
+    engine = make_classifier_engine(1)
+    rng = np.random.default_rng(13)
+    requests = [rng.integers(0, 50, size=int(n))
+                for n in rng.integers(1, MAX_SEQ + 1, size=9)]
+    assert {pad_width(len(r), MAX_SEQ) for r in requests} == {16, MAX_SEQ}
+    batched, _ = serve_classify(engine, requests, 4, **policy_kwargs)
+    solo, _ = serve_classify(engine, requests, 1, **policy_kwargs)
+    for got, expected in zip(batched, solo):
+        np.testing.assert_array_equal(got.logits, expected.logits)
         assert_records_identical(got.records, expected.records)
         assert got.hardware == expected.hardware
 
