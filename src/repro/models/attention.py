@@ -4,7 +4,11 @@ multi-head self-attention module.
 Every attention-like computation in the model zoo (transformer heads,
 MemN2N hops) funnels its score matrix through ``AttentionBase``'s gated
 softmax so the controller, statistics and record capture behave
-identically across models.
+identically across models.  ``PrunedSelfAttention`` has two forwards:
+the autograd ``forward`` (training, evaluation, ``generate()``,
+classify serving) and the tape-free ``infer`` behind
+``TransformerLM.prefill``/``decode_step``.  Both gate scores through
+the one ``AttentionBase.gate``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from ..core.pruning import PruningMode
 from ..core.soft_threshold import log_soft_threshold, soft_threshold
 from ..nn import Linear, Module
-from ..tensor import Tensor, grad_enabled
+from ..tensor import Tensor, concatenate, grad_enabled
 from ..tensor import functional as F
 
 NEG_INF = -1e9
@@ -79,10 +83,8 @@ class AttentionBase(Module):
         positions that exist (padding / causality).
         """
         controller = self.controller
-        mode = controller.mode if controller is not None else PruningMode.OFF
-        valid4 = None if valid is None else valid[:, None]
-
-        if mode is PruningMode.SOFT:
+        if controller is not None and controller.mode is PruningMode.SOFT:
+            valid4 = None if valid is None else valid[:, None]
             threshold = controller.threshold(self.layer_index)
             logits = scores + log_soft_threshold(
                 scores, threshold, controller.soft_config)
@@ -107,54 +109,69 @@ class AttentionBase(Module):
                 controller.count_soft(int(hard.sum()), int(count))
             return F.softmax(logits)
 
-        if mode is PruningMode.HARD:
-            threshold = float(controller.threshold(self.layer_index).data)
-            data = scores.data
-            masked = data if valid4 is None else np.where(
-                valid4, data, -np.inf)
-            row_max = masked.max(axis=-1, keepdims=True)
-            if self.heuristic is not None:
-                kind, value = self.heuristic
-                if kind == "relative":
-                    pruned = data < (row_max - value)
-                elif kind == "topk":
-                    keep = min(int(value), data.shape[-1])
-                    order = np.argsort(
-                        np.argsort(-masked, axis=-1), axis=-1)
-                    pruned = order >= keep
-                else:
-                    raise ValueError(f"unknown heuristic {kind!r}")
-            else:
-                pruned = data < threshold
-            if valid4 is not None:
-                pruned &= valid4
-            # the running-max register always survives: a row is never
-            # pruned empty, matching the accelerator's back end
-            pruned &= masked != row_max
-            self.stat_pruned += int(pruned.sum())
-            # valid4 broadcasts over the head axis; count it arithmetically
-            self.stat_valid += (int(valid4.sum()) * data.shape[1]
-                                if valid4 is not None else data.size)
-            if self.record_scores:
-                self.records.append(AttentionRecord(
-                    layer_index=self.layer_index,
-                    scores=data.copy(),
-                    pruned_mask=pruned.copy(),
-                    threshold=threshold,
-                    valid=None if valid is None else valid.copy(),
-                    queries=queries.copy() if (
-                        self.record_qk and queries is not None) else None,
-                    keys=keys.copy() if (
-                        self.record_qk and keys is not None) else None,
-                ))
-            keep = ~pruned if valid4 is None else (~pruned & valid4)
-            logits = F.where(keep, scores, NEG_INF)
-            return F.softmax(logits)
-
-        # OFF
-        if valid4 is not None:
-            scores = F.where(valid4, scores, NEG_INF)
+        keep = self.gate(scores.data, valid, queries, keys)
+        if keep is not None:
+            scores = F.where(keep, scores, NEG_INF)
         return F.softmax(scores)
+
+    def gate(self, scores: np.ndarray, valid: np.ndarray | None,
+             queries: np.ndarray | None = None,
+             keys: np.ndarray | None = None) -> np.ndarray | None:
+        """The HARD/OFF score gate shared by both forwards.  SOFT mode
+        is a training objective with no gate here (ValueError).
+
+        Returns the (B, H, Sq, Sk)-broadcastable mask of scores that
+        enter the softmax (None: all of them).  In HARD mode it also
+        counts ``stat_pruned``/``stat_valid`` and captures an
+        ``AttentionRecord`` when ``record_scores`` is set.
+        """
+        controller = self.controller
+        mode = controller.mode if controller is not None else PruningMode.OFF
+        valid4 = None if valid is None else valid[:, None]
+        if mode is PruningMode.OFF:
+            return valid4
+        if mode is not PruningMode.HARD:
+            raise ValueError(f"{mode.name} pruning has no array forward; "
+                             "it runs only on the autograd path")
+        threshold = float(controller.threshold(self.layer_index).data)
+        masked = scores if valid4 is None else np.where(
+            valid4, scores, -np.inf)
+        row_max = masked.max(axis=-1, keepdims=True)
+        if self.heuristic is not None:
+            kind, value = self.heuristic
+            if kind == "relative":
+                pruned = scores < (row_max - value)
+            elif kind == "topk":
+                keep = min(int(value), scores.shape[-1])
+                order = np.argsort(
+                    np.argsort(-masked, axis=-1), axis=-1)
+                pruned = order >= keep
+            else:
+                raise ValueError(f"unknown heuristic {kind!r}")
+        else:
+            pruned = scores < threshold
+        if valid4 is not None:
+            pruned &= valid4
+        # the running-max register always survives: a row is never
+        # pruned empty, matching the accelerator's back end
+        pruned &= masked != row_max
+        self.stat_pruned += int(pruned.sum())
+        # valid4 broadcasts over the head axis; count it arithmetically
+        self.stat_valid += (int(valid4.sum()) * scores.shape[1]
+                            if valid4 is not None else scores.size)
+        if self.record_scores:
+            self.records.append(AttentionRecord(
+                layer_index=self.layer_index,
+                scores=scores.copy(),
+                pruned_mask=pruned.copy(),
+                threshold=threshold,
+                valid=None if valid is None else valid.copy(),
+                queries=queries.copy() if (
+                    self.record_qk and queries is not None) else None,
+                keys=keys.copy() if (
+                    self.record_qk and keys is not None) else None,
+            ))
+        return ~pruned if valid4 is None else (~pruned & valid4)
 
 
 class PrunedSelfAttention(AttentionBase):
@@ -173,59 +190,21 @@ class PrunedSelfAttention(AttentionBase):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def _split(self, x: Tensor, batch: int, seq: int) -> Tensor:
+    def _split(self, x, batch: int, seq: int):
+        """(B, S, D) -> (B, H, S, Dh), for Tensors and arrays alike."""
         return x.reshape(batch, seq, self.num_heads,
                          self.head_dim).transpose(0, 2, 1, 3)
-
-    def _scatter_append(self, kv_cache: dict, k: Tensor, v: Tensor
-                        ) -> tuple[Tensor, Tensor]:
-        """Write one decode step's K/V rows into per-stream slots of the
-        shared padded buffers and advance the recorded lengths."""
-        lengths = np.asarray(kv_cache["lengths"])
-        if k.shape[2] != 1:
-            raise ValueError("scatter kv_cache expects one new position "
-                             f"per step, got {k.shape[2]}")
-        buf_k, buf_v = kv_cache["k"], kv_cache["v"]
-        if int(lengths.max()) >= buf_k.shape[2]:
-            raise ValueError("kv_cache buffer capacity exhausted "
-                             f"({buf_k.shape[2]} slots)")
-        capacities = kv_cache.get("capacities")
-        if capacities is not None:
-            # per-stream (request-derived) capacities: a stream may
-            # never outgrow the K/V budget its own request implies,
-            # regardless of how much shared buffer is left
-            over = lengths >= np.asarray(capacities)
-            if over.any():
-                row = int(np.argmax(over))
-                raise ValueError(
-                    f"stream in row {row} exhausted its per-stream KV "
-                    f"capacity ({int(np.asarray(capacities)[row])} rows)")
-        rows = np.arange(k.shape[0])
-        buf_k[rows, :, lengths] = k.data[:, :, 0]
-        buf_v[rows, :, lengths] = v.data[:, :, 0]
-        kv_cache["lengths"] = lengths + 1
-        return Tensor(buf_k), Tensor(buf_v)
 
     def forward(self, x: Tensor, valid: np.ndarray | None = None,
                 kv_cache: dict | None = None) -> Tensor:
         """``x``: (B, S, D).  ``valid``: (B, Sq, Sk) position mask.
 
-        ``kv_cache`` (decode path) supports two protocols:
-
-        * append — dict with optional "k"/"v" arrays of shape
-          (B, H, S_hist, Dh); the new keys/values are concatenated and
-          attention runs with S_q = x's sequence length against the
-          full history.
-        * scatter — dict with "k"/"v" float buffers (B, H, cap, Dh)
-          plus "lengths" (B,) per-stream history sizes and optionally
-          "capacities" (B,) per-stream row budgets (request-derived
-          limits enforced before the shared buffer runs out).  This
-          step's
-          single new K/V row is written at each stream's own length, so
-          streams of different ages coalesce into one padded batch
-          while every row keeps the exact bit pattern it would have
-          had served alone (histories stay left-aligned; the caller
-          masks positions past each length via ``valid``).
+        ``kv_cache`` (the append protocol, used by
+        ``TransformerLM.generate``): a dict with optional "k"/"v"
+        arrays of shape (B, H, S_hist, Dh); the new keys/values are
+        concatenated and attention runs with S_q = x's sequence length
+        against the full history.  Serving's scatter protocol lives on
+        the tape-free ``infer``.
         """
         batch, seq, _ = x.shape
         q = self._split(self.wq(x), batch, seq)
@@ -233,14 +212,10 @@ class PrunedSelfAttention(AttentionBase):
         v = self._split(self.wv(x), batch, seq)
 
         if kv_cache is not None:
-            if "lengths" in kv_cache:
-                k, v = self._scatter_append(kv_cache, k, v)
-            else:
-                from ..tensor import concatenate
-                if "k" in kv_cache:
-                    k = concatenate([kv_cache["k"], k], axis=2)
-                    v = concatenate([kv_cache["v"], v], axis=2)
-                kv_cache["k"], kv_cache["v"] = k, v
+            if "k" in kv_cache:
+                k = concatenate([kv_cache["k"], k], axis=2)
+                v = concatenate([kv_cache["v"], v], axis=2)
+            kv_cache["k"], kv_cache["v"] = k, v
 
         scale = 1.0 / np.sqrt(self.head_dim)
         scores = (q @ k.swapaxes(-1, -2)) * scale
@@ -249,3 +224,54 @@ class PrunedSelfAttention(AttentionBase):
         out = probs @ v
         out = out.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
         return self.wo(out)
+
+    def infer(self, x: np.ndarray, valid: np.ndarray,
+              cache: dict) -> np.ndarray:
+        """Tape-free ``forward`` on plain arrays: the serving path.
+
+        ``cache`` selects one of two protocols:
+
+        * prefill — an empty dict.  ``x``: (B, S, D) left-aligned
+          prompts; the dict receives this forward's "k"/"v" arrays
+          (B, H, S, Dh).
+        * scatter (decode) — "k"/"v" float buffers (B, H, cap, Dh) plus
+          "lengths" (B,) per-stream history sizes.  ``x`` holds the
+          step's B query rows first, zero-padded to (tiles, R, D) so
+          every projection is a stack of fixed-shape GEMMs whatever B
+          is (``TransformerLM.decode_step`` pads to ``DECODE_TILE``
+          rows).  Each stream's one new K/V row is written at its own
+          length and the lengths advance, so streams of different ages
+          coalesce while every row keeps the bit pattern it has when
+          served alone: histories stay left-aligned and ``valid``
+          (B, 1, cap) masks positions past each length.  The caller
+          checks capacity before the step.
+        """
+        q, k, v = self.wq.infer(x), self.wk.infer(x), self.wv.infer(x)
+        scatter = "lengths" in cache
+        if scatter:
+            lengths = cache["lengths"]
+            batch, seq = len(lengths), 1
+            q, k, v = (self._split(a.reshape(-1, self.dim)[:batch],
+                                   batch, seq) for a in (q, k, v))
+            rows = np.arange(batch)
+            cache["k"][rows, :, lengths] = k[:, :, 0]
+            cache["v"][rows, :, lengths] = v[:, :, 0]
+            cache["lengths"] = lengths + 1
+            k, v = cache["k"], cache["v"]
+        else:
+            batch, seq = x.shape[:2]
+            q, k, v = (self._split(a, batch, seq) for a in (q, k, v))
+            cache["k"], cache["v"] = k, v
+
+        scale = 1.0 / np.sqrt(self.head_dim)
+        scores = (q @ k.swapaxes(-1, -2)) * scale
+        keep = self.gate(scores, valid, queries=q * scale, keys=k)
+        if keep is not None:
+            scores = np.where(keep, scores, NEG_INF)
+        out = (F.softmax_array(scores) @ v).transpose(0, 2, 1, 3).reshape(batch, seq,
+                                                          self.dim)
+        if scatter:
+            padded = np.zeros(x.shape)
+            padded.reshape(-1, self.dim)[:batch] = out[:, 0]
+            out = padded
+        return self.wo.infer(out)

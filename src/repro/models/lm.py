@@ -1,4 +1,9 @@
-"""Causal transformer LM (GPT-2 stand-in) with a KV-cache decode path."""
+"""Causal transformer LM (GPT-2 stand-in) with a KV-cache decode path.
+
+Two forwards share one set of kernels: the autograd Tensor forward
+(``logits``, training, evaluation, ``generate``) and the tape-free array
+forward behind the serving primitives ``prefill`` and ``decode_step``.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +17,10 @@ from ..tensor import Tensor, no_grad
 from ..tensor import functional as F
 from .controller import ThresholdController
 from .transformer import TransformerBlock
+
+# Rows per decode GEMM item (see ``TransformerLM.decode_step``).  Fixed,
+# not a knob: changing it changes every decode GEMM's shape.
+DECODE_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -84,6 +93,9 @@ class TransformerLM(Module):
         return float(np.exp(total / max(count, 1)))
 
     # -- batched serving primitives -------------------------------------
+    # Both run tape-free on plain arrays (``TransformerBlock.infer``):
+    # serving needs no autograd, and the per-op Tensor wrappers cost
+    # more than the arithmetic at decode shapes.
     def prefill(self, tokens: np.ndarray,
                 lengths: np.ndarray | None = None
                 ) -> tuple[np.ndarray, list[dict]]:
@@ -92,9 +104,13 @@ class TransformerLM(Module):
         ``tokens``: (B, S) prompts left-aligned to a shared width;
         ``lengths``: (B,) true prompt sizes (default: all S).  Returns
         (next-token logits (B, V) taken at each prompt's own last
-        position, caches) where each cache holds "k"/"v" Tensors of
+        position, caches) where each cache holds "k"/"v" arrays of
         shape (B, H, S, Dh) — positions past a stream's length hold
         padding garbage and must be sliced off before reuse.
+
+        Every projection is one (S, K) @ (K, N) GEMM per prompt, so a
+        prompt's results depend only on its own tokens and ``S``; at
+        full width they equal ``logits()`` bit for bit.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         batch, seq = tokens.shape
@@ -105,11 +121,10 @@ class TransformerLM(Module):
         present = np.arange(seq)[None, :] < lengths[:, None]
         valid = (causal[None] & present[:, None, :] & present[:, :, None])
         caches: list[dict] = [{} for _ in self.blocks]
-        with no_grad():
-            x = self.embed(tokens) + self.pos[:seq]
-            for block, cache in zip(self.blocks, caches):
-                x = block(x, valid, kv_cache=cache)
-            logits = self.head(self.ln_out(x)).data
+        x = self.embed.weight.data[tokens] + self.pos.data[:seq]
+        for block, cache in zip(self.blocks, caches):
+            x = block.infer(x, valid, cache)
+        logits = self.head.infer(self.ln_out.infer(x))
         return logits[np.arange(batch), lengths - 1], caches
 
     def decode_step(self, tokens: np.ndarray,
@@ -118,25 +133,55 @@ class TransformerLM(Module):
 
         ``tokens``: (B,) the latest token of each stream; ``caches``:
         per-block scatter-protocol dicts ("k"/"v" float buffers
-        (B, H, cap, Dh), "lengths" (B,) history sizes — see
-        ``PrunedSelfAttention.forward``).  Buffers are updated in place
+        (B, H, cap, Dh), "lengths" (B,) history sizes and optionally
+        "capacities" (B,) per-stream row budgets — see
+        ``PrunedSelfAttention.infer``).  Buffers are updated in place
         and lengths advanced.  Returns next-token logits (B, V).
 
         Streams of different ages batch together: every row attends
-        over its own left-aligned history, masked past its length, so
-        logits are bit-identical to serving the stream alone.
+        over its own left-aligned history, masked past its length.
+        The B rows are zero-padded to whole tiles of ``DECODE_TILE``
+        and every projection and the head run as a stack of
+        (DECODE_TILE, K) @ (K, N) GEMMs, so no GEMM's shape depends on
+        how many streams share the step: a row's logits are bit-
+        identical to serving its stream alone.  (One (B, K) GEMM would
+        not be: BLAS hands M = 1 to GEMV and may block small M
+        differently, which moves the last bits with B.)
+
+        Raises ValueError, before touching any buffer, when a stream
+        has no free KV row: its history fills the buffer (or the
+        model's ``max_seq_len`` positions), or it reached its own
+        "capacities" budget.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         lengths = np.asarray(caches[0]["lengths"])
-        capacity = caches[0]["k"].shape[2]
-        valid = (np.arange(capacity)[None, None, :]
-                 <= lengths[:, None, None])
-        with no_grad():
-            x = (self.embed(tokens[:, None])
-                 + Tensor(self.pos.data[lengths][:, None, :]))
-            for block, cache in zip(self.blocks, caches):
-                x = block(x, valid, kv_cache=cache)
-            return self.head(self.ln_out(x)).data[:, 0]
+        width = caches[0]["k"].shape[2]
+        capacity = min(width, self.config.max_seq_len)
+        if int(lengths.max()) >= capacity:
+            raise ValueError("kv_cache buffer capacity exhausted "
+                             f"({capacity} slots)")
+        capacities = caches[0].get("capacities")
+        if capacities is not None:
+            # per-stream (request-derived) capacities: a stream may
+            # never outgrow the K/V budget its own request implies,
+            # regardless of how much shared buffer is left
+            capacities = np.asarray(capacities)
+            over = lengths >= capacities
+            if over.any():
+                row = int(np.argmax(over))
+                raise ValueError(
+                    f"stream in row {row} exhausted its per-stream KV "
+                    f"capacity ({int(capacities[row])} rows)")
+        batch = len(tokens)
+        tiles = -(-batch // DECODE_TILE)
+        x = np.zeros((tiles, DECODE_TILE, self.config.dim))
+        x.reshape(-1, self.config.dim)[:batch] = (
+            self.embed.weight.data[tokens] + self.pos.data[lengths])
+        valid = np.arange(width)[None, None, :] <= lengths[:, None, None]
+        for block, cache in zip(self.blocks, caches):
+            x = block.infer(x, valid, cache)
+        logits = self.head.infer(self.ln_out.infer(x))
+        return logits.reshape(tiles * DECODE_TILE, -1)[:batch]
 
     # -- decode ---------------------------------------------------------
     def generate(self, prompt: np.ndarray, max_new_tokens: int,

@@ -43,6 +43,14 @@ class TransformerBlock(Module):
         x = x + self.attention(self.ln1(x), valid, kv_cache)
         return x + self.ffn2(F.gelu(self.ffn1(self.ln2(x))))
 
+    def infer(self, x: np.ndarray, valid: np.ndarray,
+              cache: dict) -> np.ndarray:
+        """Tape-free ``forward`` on plain arrays (the LM serving path;
+        see ``PrunedSelfAttention.infer`` for the cache protocols)."""
+        x = x + self.attention.infer(self.ln1.infer(x), valid, cache)
+        return x + self.ffn2.infer(
+            F.gelu_array(self.ffn1.infer(self.ln2.infer(x))))
+
 
 class TransformerClassifier(Module):
     """Encoder over tokens (or patches) with a classification head.

@@ -22,6 +22,10 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Tape-free forward on a plain array (the serving path)."""
+        return x @ self.weight.data + self.bias.data
+
 
 class Embedding(Module):
     def __init__(self, num_embeddings: int, dim: int,
@@ -45,3 +49,8 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.gain, self.bias, self.eps)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Tape-free forward on a plain array (the serving path)."""
+        return F.layer_norm_array(x, self.gain.data, self.bias.data,
+                                  self.eps)

@@ -1004,8 +1004,8 @@ class ServingEngine:
                                       self._pid, stream.stream_id,
                                       tokens=size, batch=len(streams))
             trimmed = [
-                {"k": cache["k"].data[i, :, :size],
-                 "v": cache["v"].data[i, :, :size]}
+                {"k": cache["k"][i, :, :size],
+                 "v": cache["v"][i, :, :size]}
                 for cache in caches]
             if records is not None:
                 stream.add_records(

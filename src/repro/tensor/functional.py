@@ -2,7 +2,10 @@
 
 These are the hot ops of the transformer forward/backward; each one is
 a handful of whole-array numpy expressions rather than a chain of
-primitive autograd nodes.
+primitive autograd nodes.  ``softmax``, ``gelu`` and ``layer_norm``
+each have an ``*_array`` kernel on plain numpy arrays, which the
+tape-free serving forward calls directly and the Tensor op wraps, so
+both forwards run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -12,10 +15,14 @@ import numpy as np
 from .tensor import Tensor, stable_sigmoid
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    out = exp / exp.sum(axis=axis, keepdims=True)
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    out = softmax_array(x.data, axis)
 
     def backward(grad):
         dot = (grad * out).sum(axis=axis, keepdims=True)
@@ -57,18 +64,29 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     return -picked.sum() * (1.0 / count)
 
 
-def gelu(x: Tensor) -> Tensor:
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def _gelu_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                         np.ndarray]:
+    """(gelu(x), x*x, tanh term): the forward plus what backward reuses."""
     # tanh approximation (Hendrycks & Gimpel); cubes/squares are spelled
     # as multiplies — numpy's float pow is ~70x slower elementwise and
     # this sits on the hot path of every FFN
-    c = np.sqrt(2.0 / np.pi)
-    square = x.data * x.data
-    u = c * (x.data + 0.044715 * (square * x.data))
-    t = np.tanh(u)
-    out = 0.5 * x.data * (1.0 + t)
+    square = x * x
+    t = np.tanh(_GELU_C * (x + 0.044715 * (square * x)))
+    return 0.5 * x * (1.0 + t), square, t
+
+
+def gelu_array(x: np.ndarray) -> np.ndarray:
+    return _gelu_terms(x)[0]
+
+
+def gelu(x: Tensor) -> Tensor:
+    out, square, t = _gelu_terms(x.data)
 
     def backward(grad):
-        du = c * (1.0 + 3 * 0.044715 * square)
+        du = _GELU_C * (1.0 + 3 * 0.044715 * square)
         dt = (1.0 - t * t) * du
         x._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x.data * dt))
 
@@ -97,16 +115,28 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor._make(out, (table,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = 1e-5) -> Tensor:
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
+def _layer_norm_terms(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                      eps: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(layer_norm(x), normalized x, 1/std): the forward plus what
+    backward reuses."""
+    centered = x - x.mean(axis=-1, keepdims=True)
     # reuse the centered activations for the variance instead of a
     # second mean pass inside np.var — this op runs five times per block
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     norm = centered * inv
-    out = norm * gain.data + bias.data
+    return norm * gain + bias, norm, inv
+
+
+def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                     eps: float = 1e-5) -> np.ndarray:
+    return _layer_norm_terms(x, gain, bias, eps)[0]
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+               eps: float = 1e-5) -> Tensor:
+    out, norm, inv = _layer_norm_terms(x.data, gain.data, bias.data, eps)
 
     def backward(grad):
         axes = tuple(range(grad.ndim - 1))

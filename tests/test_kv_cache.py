@@ -2,13 +2,15 @@
 
 The cached decode path (one query row against the stored history) must
 reproduce the full-recompute logits step for step, for both cache
-protocols: the append protocol used by ``TransformerLM.generate`` and
-the scatter protocol used by coalesced serving."""
+protocols: the append protocol used by ``TransformerLM.generate`` (the
+autograd forward) and the scatter protocol used by coalesced serving
+(the tape-free ``prefill``/``decode_step``)."""
 
 import numpy as np
 import pytest
 
 from repro.models import LMConfig, TransformerLM
+from repro.models.lm import DECODE_TILE
 from repro.tensor import no_grad
 
 VOCAB = 30
@@ -70,8 +72,8 @@ def test_scatter_decode_logits_match_full_recompute(prompt_len):
     for cache in prefill_caches:
         buf_k = np.zeros((1, heads, capacity, head_dim))
         buf_v = np.zeros_like(buf_k)
-        buf_k[0, :, :prompt_len] = cache["k"].data[0, :, :prompt_len]
-        buf_v[0, :, :prompt_len] = cache["v"].data[0, :, :prompt_len]
+        buf_k[0, :, :prompt_len] = cache["k"][0, :, :prompt_len]
+        buf_v[0, :, :prompt_len] = cache["v"][0, :, :prompt_len]
         caches.append({"k": buf_k, "v": buf_v,
                        "lengths": np.array([prompt_len])})
 
@@ -106,8 +108,8 @@ def test_scatter_protocol_matches_append_protocol():
     for cache in prefill_caches:
         buf_k = np.zeros((1, heads, capacity, head_dim))
         buf_v = np.zeros_like(buf_k)
-        buf_k[0, :, :6] = cache["k"].data[0, :, :6]
-        buf_v[0, :, :6] = cache["v"].data[0, :, :6]
+        buf_k[0, :, :6] = cache["k"][0, :, :6]
+        buf_v[0, :, :6] = cache["v"][0, :, :6]
         caches.append({"k": buf_k, "v": buf_v, "lengths": np.array([6])})
     tokens = [int(t) for t in prompt[0]]
     for _ in range(10):
@@ -120,12 +122,85 @@ def test_scatter_protocol_matches_append_protocol():
 
 
 def test_scatter_capacity_exhaustion_raises():
+    """A stream with no free KV row fails the step with ValueError
+    before any buffer or length changes: a small buffer, a buffer
+    holding all ``max_seq_len`` positions (where the position lookup
+    once raised IndexError first), and a per-stream budget."""
     model = make_lm(seed=0)
     heads = model.config.num_heads
     head_dim = model.config.dim // heads
-    caches = [{"k": np.zeros((1, heads, 4, head_dim)),
-               "v": np.zeros((1, heads, 4, head_dim)),
-               "lengths": np.array([4])}
-              for _ in model.blocks]
-    with pytest.raises(ValueError, match="capacity"):
-        model.decode_step(np.array([1]), caches)
+    full = model.config.max_seq_len
+    for capacity, lengths, capacities, match in (
+            (4, [4], None, "kv_cache buffer capacity exhausted"),
+            (full, [full], None, "kv_cache buffer capacity exhausted"),
+            (full, [3, 5], [8, 5], "row 1 exhausted its per-stream")):
+        rng = np.random.default_rng(capacity)
+        caches = [{"k": rng.standard_normal((len(lengths), heads,
+                                             capacity, head_dim)),
+                   "v": rng.standard_normal((len(lengths), heads,
+                                             capacity, head_dim)),
+                   "lengths": np.array(lengths)}
+                  for _ in model.blocks]
+        if capacities is not None:
+            for cache in caches:
+                cache["capacities"] = np.array(capacities)
+        before = [{key: value.copy() for key, value in cache.items()}
+                  for cache in caches]
+        with pytest.raises(ValueError, match=match):
+            model.decode_step(np.ones(len(lengths), dtype=np.int64),
+                              caches)
+        for cache, saved in zip(caches, before):
+            for key in saved:
+                np.testing.assert_array_equal(cache[key], saved[key])
+
+
+@pytest.mark.parametrize("mode", ["off", "hard"])
+def test_prefill_at_full_width_equals_autograd_logits(mode):
+    """The tape-free serving forward and the autograd forward run the
+    same kernels: at full width (every length S) prefill's logits equal
+    ``logits()`` bit for bit, and so do the pruning statistics."""
+    model = make_lm(seed=7, mode=mode)
+    tokens = np.random.default_rng(7).integers(0, VOCAB, size=(3, 19))
+    served, caches = model.prefill(tokens)
+    served_stats = [(a.stat_pruned, a.stat_valid)
+                    for a in model.attention_modules()]
+    for attention in model.attention_modules():
+        attention.clear_stats()
+    with no_grad():
+        full = model.logits(tokens).data
+    np.testing.assert_array_equal(served, full[:, -1])
+    assert served_stats == [(a.stat_pruned, a.stat_valid)
+                            for a in model.attention_modules()]
+    assert all(isinstance(c["k"], np.ndarray) for c in caches)
+
+
+def test_serving_forward_rejects_soft_mode():
+    """SOFT pruning is a training objective: the tape-free serving
+    forward refuses it instead of serving unpruned scores."""
+    model = make_lm(seed=1, mode="soft")
+    with pytest.raises(ValueError, match="SOFT"):
+        model.prefill(np.ones((1, 4), dtype=np.int64))
+
+
+@pytest.mark.parametrize("inner", [32, 64, 128, 256])
+def test_decode_tile_gemm_rows_are_batch_invariant(inner):
+    """decode_step's premise: a row of a stacked (tiles, DECODE_TILE, K)
+    @ (K, N) GEMM has the same bits at every tile position and whatever
+    its neighbours hold, on the model's projection widths and small
+    heads.  A BLAS that breaks this fails here before it breaks
+    batched-vs-solo serving."""
+    rng = np.random.default_rng(inner)
+    for out in (3, 30, 50, 64, 128, 256):
+        weight = rng.standard_normal((inner, out))
+        row = rng.standard_normal(inner)
+        expected = None
+        for tiles in (1, 2):
+            for position in range(tiles * DECODE_TILE):
+                x = rng.standard_normal((tiles * DECODE_TILE, inner))
+                x[position] = row
+                got = (x.reshape(tiles, DECODE_TILE, inner) @ weight
+                       ).reshape(-1, out)[position]
+                if expected is None:
+                    expected = got
+                np.testing.assert_array_equal(
+                    got, expected, err_msg=f"N={out} row {position}")

@@ -25,9 +25,9 @@ def make_classifier_engine(seed=0, head="cls"):
     return PrunedInferenceEngine(model, controller)
 
 
-def make_lm_engine(seed=0):
+def make_lm_engine(seed=0, vocab_size=40):
     model = TransformerLM(LMConfig(
-        vocab_size=40, max_seq_len=32, dim=32, num_heads=2,
+        vocab_size=vocab_size, max_seq_len=32, dim=32, num_heads=2,
         num_layers=2, seed=seed))
     controller = model.make_controller()
     controller.set_threshold_values(np.zeros(2))
@@ -137,6 +137,29 @@ def test_lm_streams_batched_vs_solo_bit_identical(seed):
         np.testing.assert_array_equal(got.logits, expected.logits)
         assert_records_identical(got.records, expected.records)
         assert got.hardware == expected.hardware
+
+
+def test_lm_stream_invariant_to_decode_batch_size():
+    """One stream decoded alone and as the last row of batches of 2..9
+    streams (9 spills into a second decode tile) gets identical tokens,
+    logits, records and hardware estimate.  The vocabulary of 50 is not
+    a multiple of 4: there, one flat (B, D) GEMM gives a row different
+    bits at small B than at B >= 4."""
+    engine = make_lm_engine(3, vocab_size=50)
+    rng = np.random.default_rng(33)
+    target = rng.integers(0, 50, size=5)
+    (solo,), _ = serve_streams(engine, [target], 6, max_batch_size=1)
+    for size in range(2, 10):
+        others = [rng.integers(0, 50, size=int(n))
+                  for n in rng.integers(1, 9, size=size - 1)]
+        results, _ = serve_streams(engine, others + [target], 6,
+                                   max_batch_size=size)
+        got = results[-1]
+        assert got.batch_sizes == [size] * len(got.batch_sizes)
+        np.testing.assert_array_equal(got.tokens, solo.tokens)
+        np.testing.assert_array_equal(got.logits, solo.logits)
+        assert_records_identical(got.records, solo.records)
+        assert got.hardware == solo.hardware
 
 
 def test_classify_mixed_widths_bit_identical():
