@@ -3,6 +3,9 @@
 Two forwards share one set of kernels: the autograd Tensor forward
 (``logits``, training, evaluation, ``generate``) and the tape-free array
 forward behind the serving primitives ``prefill`` and ``decode_step``.
+The array forward writes each op into a few work buffers per call
+(``InferState``), and decode attention reads only the live prefix of
+the KV buffers; both leave every bit as the Tensor forward has it.
 """
 
 from __future__ import annotations
@@ -15,12 +18,17 @@ from ..core.soft_threshold import SoftThresholdConfig, SurrogateL0Config
 from ..nn import Embedding, LayerNorm, Linear, Module, Parameter
 from ..tensor import Tensor, no_grad
 from ..tensor import functional as F
+from .attention import InferState, ScoreMask
 from .controller import ThresholdController
 from .transformer import TransformerBlock
 
 # Rows per decode GEMM item (see ``TransformerLM.decode_step``).  Fixed,
 # not a knob: changing it changes every decode GEMM's shape.
 DECODE_TILE = 8
+# Decode attention reads the KV buffers' live prefix rounded up to a
+# multiple of this (see ``TransformerLM.decode_step``).  Fixed, not a
+# knob: a prefix that is not a multiple of 16 moves the last bits.
+LIVE_STEP = 16
 
 
 @dataclass(frozen=True)
@@ -120,11 +128,13 @@ class TransformerLM(Module):
         causal = np.tril(np.ones((seq, seq), dtype=bool))
         present = np.arange(seq)[None, :] < lengths[:, None]
         valid = (causal[None] & present[:, None, :] & present[:, :, None])
+        state = InferState(ScoreMask(valid))
         caches: list[dict] = [{} for _ in self.blocks]
-        x = self.embed.weight.data[tokens] + self.pos.data[:seq]
+        x = self.embed.weight.data[tokens]
+        x += self.pos.data[:seq]
         for block, cache in zip(self.blocks, caches):
-            x = block.infer(x, valid, cache)
-        logits = self.head.infer(self.ln_out.infer(x))
+            block.infer(x, state, cache)
+        logits = self.head.infer(self.ln_out.infer(x, out=x))
         return logits[np.arange(batch), lengths - 1], caches
 
     def decode_step(self, tokens: np.ndarray,
@@ -140,6 +150,10 @@ class TransformerLM(Module):
 
         Streams of different ages batch together: every row attends
         over its own left-aligned history, masked past its length.
+        Attention reads only the buffers' live prefix: the smallest
+        multiple of ``LIVE_STEP`` that holds the longest history with
+        this step's row, capped at the buffer width.  Its bits equal
+        the full-width core's; an unrounded prefix's would not.
         The B rows are zero-padded to whole tiles of ``DECODE_TILE``
         and every projection and the head run as a stack of
         (DECODE_TILE, K) @ (K, N) GEMMs, so no GEMM's shape depends on
@@ -177,10 +191,13 @@ class TransformerLM(Module):
         x = np.zeros((tiles, DECODE_TILE, self.config.dim))
         x.reshape(-1, self.config.dim)[:batch] = (
             self.embed.weight.data[tokens] + self.pos.data[lengths])
-        valid = np.arange(width)[None, None, :] <= lengths[:, None, None]
+        live = min(width, -(-(int(lengths.max()) + 1) // LIVE_STEP)
+                   * LIVE_STEP)
+        valid = np.arange(live)[None, None, :] <= lengths[:, None, None]
+        state = InferState(ScoreMask(valid), lengths=lengths, width=live)
         for block, cache in zip(self.blocks, caches):
-            x = block.infer(x, valid, cache)
-        logits = self.head.infer(self.ln_out.infer(x))
+            block.infer(x, state, cache)
+        logits = self.head.infer(self.ln_out.infer(x, out=x))
         return logits.reshape(tiles * DECODE_TILE, -1)[:batch]
 
     # -- decode ---------------------------------------------------------

@@ -47,8 +47,8 @@ class MemoryHop(AttentionBase):
         valid3 = None if valid is None else valid[:, None, :]
         probs = self.gated_softmax(
             scores4, valid3,
-            queries=q.data[:, None] * scale,
-            keys=memory.data[:, None])
+            queries=q.data[:, None], keys=memory.data[:, None],
+            scale=scale)
         probs = probs.reshape(probs.shape[0], 1, probs.shape[3])
         read = (probs @ output)                            # (B, 1, D)
         return read.reshape(read.shape[0], read.shape[2])

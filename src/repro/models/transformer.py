@@ -1,4 +1,11 @@
-"""Transformer encoder classifier (BERT/ViT/ALBERT stand-ins)."""
+"""Transformer encoder classifier (BERT/ViT/ALBERT stand-ins).
+
+``TransformerClassifier.logits`` has two forwards, as the LM does: the
+autograd Tensor forward (training, SOFT-mode evaluation) and, with
+grad off in HARD or OFF mode, the tape-free array forward
+(``TransformerBlock.infer``) that serving runs.  Both give the same
+bits.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.pruning import PruningMode
 from ..core.soft_threshold import SoftThresholdConfig, SurrogateL0Config
 from ..nn import Embedding, LayerNorm, Linear, Module, Parameter
-from ..tensor import Tensor
+from ..tensor import Tensor, grad_enabled
 from ..tensor import functional as F
-from .attention import PrunedSelfAttention
+from .attention import InferState, PrunedSelfAttention, ScoreMask
 from .controller import ThresholdController
 
 
@@ -43,13 +51,21 @@ class TransformerBlock(Module):
         x = x + self.attention(self.ln1(x), valid, kv_cache)
         return x + self.ffn2(F.gelu(self.ffn1(self.ln2(x))))
 
-    def infer(self, x: np.ndarray, valid: np.ndarray,
-              cache: dict) -> np.ndarray:
-        """Tape-free ``forward`` on plain arrays (the LM serving path;
-        see ``PrunedSelfAttention.infer`` for the cache protocols)."""
-        x = x + self.attention.infer(self.ln1.infer(x), valid, cache)
-        return x + self.ffn2.infer(
-            F.gelu_array(self.ffn1.infer(self.ln2.infer(x))))
+    def infer(self, x: np.ndarray, state: InferState,
+              cache: dict | None = None) -> np.ndarray:
+        """Tape-free ``forward`` on plain arrays, adding both residual
+        branches into ``x`` in place (the serving path; see
+        ``PrunedSelfAttention.infer`` for ``state`` and the cache
+        protocols)."""
+        normed = self.ln1.infer(x, out=state.buffer("normed", x.shape))
+        x += self.attention.infer(normed, state, cache)
+        self.ln2.infer(x, out=normed)
+        wide = x.shape[:-1] + self.ffn1.bias.data.shape
+        hidden = self.ffn1.infer(normed, out=state.buffer("wide", wide))
+        F.gelu_array(hidden, out=hidden,
+                     work=state.buffer("wide_work", wide))
+        x += self.ffn2.infer(hidden, out=state.buffer("out", x.shape))
+        return x
 
 
 class TransformerClassifier(Module):
@@ -101,7 +117,6 @@ class TransformerClassifier(Module):
         inputs = np.asarray(inputs)
         seq = inputs.shape[1]
         if self.config.vocab_size is None:
-            from ..tensor import Tensor
             x = self.embed(Tensor(inputs)) + self.pos[:seq]
         else:
             x = self.embed(inputs) + self.pos[:seq]
@@ -114,14 +129,17 @@ class TransformerClassifier(Module):
 
     def logits(self, inputs: np.ndarray,
                mask: np.ndarray | None = None) -> Tensor:
+        controller = self._controller
+        if not grad_enabled() and (controller is None or
+                                   controller.mode is not PruningMode.SOFT):
+            return Tensor(self.infer(inputs, mask))
         x = self.encode(inputs, mask)
         if self.config.head == "span":
             out = self.head(x)                      # (B, S, 1)
             return out.reshape(out.shape[0], out.shape[1])
         if mask is not None:
-            weights = mask[:, :, None] / mask.sum(
-                axis=1, keepdims=True)[:, :, None]
-            pooled = (x * weights).sum(axis=1, keepdims=True)
+            pooled = (x * self._pool_weights(mask)).sum(axis=1,
+                                                        keepdims=True)
         else:
             pooled = x.mean(axis=1, keepdims=True)
         # the head runs on (B, 1, D): stacked matmuls use the same
@@ -129,6 +147,38 @@ class TransformerClassifier(Module):
         # not depend on how many others were coalesced alongside it
         out = self.head(pooled)
         return out.reshape(out.shape[0], out.shape[-1])
+
+    @staticmethod
+    def _pool_weights(mask: np.ndarray) -> np.ndarray:
+        return mask[:, :, None] / mask.sum(axis=1, keepdims=True)[:, :, None]
+
+    def infer(self, inputs: np.ndarray,
+              mask: np.ndarray | None = None) -> np.ndarray:
+        """``logits`` on the tape-free array forward (HARD or OFF
+        mode): the same operations on plain arrays, so the same bits,
+        statistics and records.  Every projection stays one GEMM per
+        item and the head one (1, D) @ (D, C) GEMM per item, as in
+        ``logits``."""
+        inputs = np.asarray(inputs)
+        batch, seq = inputs.shape[:2]
+        if self.config.vocab_size is None:
+            x = self.embed.infer(inputs)
+        else:
+            x = self.embed.weight.data[inputs]
+        x += self.pos.data[:seq]
+        state = InferState(None if mask is None else ScoreMask(
+            mask[:, None, :] & mask[:, :, None]))
+        for block in self.blocks:
+            block.infer(x, state)
+        x = self.ln_out.infer(x, out=x)
+        if self.config.head == "span":
+            return self.head.infer(x).reshape(batch, seq)
+        if mask is not None:
+            x *= self._pool_weights(mask)
+            pooled = x.sum(axis=1, keepdims=True)
+        else:
+            pooled = x.sum(axis=1, keepdims=True) * (1.0 / seq)
+        return self.head.infer(pooled).reshape(batch, -1)
 
     # -- task interface -------------------------------------------------
     def loss(self, batch) -> Tensor:

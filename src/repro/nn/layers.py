@@ -22,9 +22,13 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free forward on a plain array (the serving path)."""
-        return x @ self.weight.data + self.bias.data
+    def infer(self, x: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """Tape-free forward on a plain array (the serving path),
+        optionally into ``out``."""
+        out = np.matmul(x, self.weight.data, out=out)
+        out += self.bias.data
+        return out
 
 
 class Embedding(Module):
@@ -50,7 +54,9 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.gain, self.bias, self.eps)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free forward on a plain array (the serving path)."""
+    def infer(self, x: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """Tape-free forward on a plain array (the serving path),
+        optionally into ``out``."""
         return F.layer_norm_array(x, self.gain.data, self.bias.data,
-                                  self.eps)
+                                  self.eps, out)

@@ -142,7 +142,9 @@ def check_classify(inputs, mask, limit: int, config
     """One classification request as arrays: ``inputs`` shaped for the
     model ``config`` — (L,) token ids in ``[0, vocab_size)``, or
     (L, input_dim) patch features — with ``0 < L <= limit``, and an
-    (L,) boolean mask (all true by default)."""
+    (L,) boolean mask (all true by default) that selects at least one
+    position: an empty mask leaves nothing to attend over or pool, and
+    would be served as NaN logits."""
     inputs = np.asarray(inputs)
     vocab = getattr(config, "vocab_size", None)
     dim = getattr(config, "input_dim", None)
@@ -166,6 +168,8 @@ def check_classify(inputs, mask, limit: int, config
     if mask.shape != inputs.shape[:1]:
         raise ValueError(f"mask shape {mask.shape} does not match "
                          f"request length {inputs.shape[0]}")
+    if not mask.any():
+        raise ValueError("mask selects no position")
     return inputs, mask
 
 

@@ -55,6 +55,9 @@ class StreamState:
     records_by_layer: dict[int, list] = field(default_factory=dict)
     batch_sizes: list[int] = field(default_factory=list)
     done: bool = False
+    # append's int64 store; ``tokens`` is a view of its filled prefix
+    _store: np.ndarray | None = field(default=None, init=False,
+                                      repr=False)
 
     @property
     def length(self) -> int:
@@ -64,7 +67,18 @@ class StreamState:
         return self.deadline is not None and now >= self.deadline
 
     def append(self, token: int) -> None:
-        self.tokens = np.append(self.tokens, np.int64(token))
+        size = self.tokens.shape[0]
+        store = self._store
+        if (store is None or self.tokens.base is not store
+                or size == store.shape[0]):
+            # room for the rest of the budget (or double), so a stream
+            # copies its history once or twice, not once per token
+            store = np.empty(max(2 * size, 1, size + self.max_new_tokens
+                                 - self.new_tokens), dtype=np.int64)
+            store[:size] = self.tokens
+            self._store = store
+        store[size] = token
+        self.tokens = store[:size + 1]
         self.new_tokens += 1
 
     def add_records(self, records) -> None:
@@ -159,7 +173,9 @@ class KVSlotBuffer:
 
     def evict(self, stream: StreamState) -> None:
         """Release a stream's slot in place, compacting the prefix by
-        moving the last occupied slot into the hole."""
+        moving the last occupied slot into the hole.  Only rows a
+        stream used are zeroed: free slots and every row past an
+        occupied slot's length stay all zero."""
         slot = stream.slot
         if slot is None or self.streams[slot] is not stream:
             raise ValueError(f"stream {stream.stream_id} holds no slot")
@@ -167,28 +183,33 @@ class KVSlotBuffer:
         if slot != last:
             moved = self.streams[last]
             size = int(self._lengths[last])
-            for block in range(len(self._k)):
-                self._k[block][slot] = 0.0
-                self._k[block][slot, :, :size] = \
-                    self._k[block][last, :, :size]
-                self._v[block][slot] = 0.0
-                self._v[block][slot, :, :size] = \
-                    self._v[block][last, :, :size]
+            used = self._used(slot)
+            for buffers in (self._k, self._v):
+                for buffer in buffers:
+                    buffer[slot, :, :size] = buffer[last, :, :size]
+                    buffer[slot, :, size:used] = 0.0
             self._lengths[slot] = self._lengths[last]
             self._capacities[slot] = self._capacities[last]
             moved.slot = slot
             self.streams[slot] = moved
         # zero the vacated tail slot so a future admit starts from the
         # exact zero padding solo runs see
-        for block in range(len(self._k)):
-            self._k[block][last] = 0.0
-            self._v[block][last] = 0.0
+        used = self._used(last)
+        for buffers in (self._k, self._v):
+            for buffer in buffers:
+                buffer[last, :, :used] = 0.0
         self._lengths[last] = 0
         self._capacities[last] = 0
         self.streams.pop()
         stream.slot = None
         if self.counters is not None:
             self.counters["evict"].inc()
+
+    def _used(self, slot: int) -> int:
+        """Rows a slot's stream may have written: its history, plus the
+        row a decode step writes before ``advance`` commits it (a
+        failed step never commits)."""
+        return min(int(self._lengths[slot]) + 1, self.capacity)
 
     def swap_out(self, stream: StreamState) -> None:
         """Preempt: copy the stream's rows (trimmed to its length) back

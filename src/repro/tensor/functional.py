@@ -6,6 +6,14 @@ primitive autograd nodes.  ``softmax``, ``gelu`` and ``layer_norm``
 each have an ``*_array`` kernel on plain numpy arrays, which the
 tape-free serving forward calls directly and the Tensor op wraps, so
 both forwards run the same arithmetic.
+
+The array kernels take ``out=`` (which may be the input itself) and
+run every step in place there, so a serving forward reuses a few work
+buffers instead of allocating one temporary per step.  In place or
+not, they perform the Tensor ops' operations in the same order, so the
+bits do not depend on which forward ran: ``np.mean`` is spelled
+``np.add.reduce`` followed by a divide, which is exactly what
+``np.mean`` computes.
 """
 
 from __future__ import annotations
@@ -15,10 +23,17 @@ import numpy as np
 from .tensor import Tensor, stable_sigmoid
 
 
-def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+def softmax_array(x: np.ndarray, axis: int = -1,
+                  out: np.ndarray | None = None,
+                  row_max: np.ndarray | None = None) -> np.ndarray:
+    """softmax along ``axis``; ``row_max`` may pass in the (keepdims)
+    max of ``x`` along ``axis`` when the caller already has it."""
+    if row_max is None:
+        row_max = x.max(axis=axis, keepdims=True)
+    out = np.subtract(x, row_max, out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=axis, keepdims=True)
+    return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -67,23 +82,38 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def _gelu_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                         np.ndarray]:
-    """(gelu(x), x*x, tanh term): the forward plus what backward reuses."""
+def _gelu_tanh(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """tanh(C * (x + 0.044715 * x^3)), computed in ``work``, which
+    holds x*x on entry."""
     # tanh approximation (Hendrycks & Gimpel); cubes/squares are spelled
     # as multiplies — numpy's float pow is ~70x slower elementwise and
     # this sits on the hot path of every FFN
-    square = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (square * x)))
-    return 0.5 * x * (1.0 + t), square, t
+    work *= x
+    work *= 0.044715
+    work += x
+    work *= _GELU_C
+    return np.tanh(work, out=work)
 
 
-def gelu_array(x: np.ndarray) -> np.ndarray:
-    return _gelu_terms(x)[0]
+def _gelu_out(x: np.ndarray, t: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * x * (1 + t), overwriting ``t``."""
+    t += 1.0
+    out = np.multiply(x, 0.5, out=out)
+    out *= t
+    return out
+
+
+def gelu_array(x: np.ndarray, out: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """gelu(x); ``work`` is an optional scratch array shaped like x."""
+    return _gelu_out(x, _gelu_tanh(x, np.multiply(x, x, out=work)), out)
 
 
 def gelu(x: Tensor) -> Tensor:
-    out, square, t = _gelu_terms(x.data)
+    square = x.data * x.data
+    t = _gelu_tanh(x.data, square.copy())
+    out = _gelu_out(x.data, t.copy())
 
     def backward(grad):
         du = _GELU_C * (1.0 + 3 * 0.044715 * square)
@@ -115,28 +145,39 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor._make(out, (table,), backward)
 
 
-def _layer_norm_terms(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                      eps: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(layer_norm(x), normalized x, 1/std): the forward plus what
-    backward reuses."""
-    centered = x - x.mean(axis=-1, keepdims=True)
+def _normalize(x: np.ndarray, eps: float,
+               out: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(normalized x, 1/std) over the last axis, the first in ``out``."""
+    size = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= size
+    centered = np.subtract(x, mean, out=out)
     # reuse the centered activations for the variance instead of a
     # second mean pass inside np.var — this op runs five times per block
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    norm = centered * inv
-    return norm * gain + bias, norm, inv
+    inv = np.add.reduce(centered * centered, axis=-1, keepdims=True,
+                        out=mean)
+    inv /= size
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    centered *= inv
+    return centered, inv
 
 
 def layer_norm_array(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                     eps: float = 1e-5) -> np.ndarray:
-    return _layer_norm_terms(x, gain, bias, eps)[0]
+                     eps: float = 1e-5,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    out, _ = _normalize(x, eps, out)
+    out *= gain
+    out += bias
+    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                eps: float = 1e-5) -> Tensor:
-    out, norm, inv = _layer_norm_terms(x.data, gain.data, bias.data, eps)
+    norm, inv = _normalize(x.data, eps)
+    out = norm * gain.data + bias.data
 
     def backward(grad):
         axes = tuple(range(grad.ndim - 1))

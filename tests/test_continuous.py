@@ -309,6 +309,63 @@ def test_kv_slot_buffer_admit_evict_swap_round_trip():
             originals[1][block]["v"])
 
 
+def assert_slots_zero_padded(buffer):
+    """Occupied slots hold zeros past their length; free slots are all
+    zero (what ``admit`` relies on for solo-identical padding)."""
+    active = len(buffer)
+    for block in range(2):
+        for store in (buffer._k[block], buffer._v[block]):
+            for slot in range(buffer.slots):
+                start = int(buffer._lengths[slot]) if slot < active else 0
+                assert not store[slot, :, start:].any(), (block, slot)
+
+
+def test_kv_slot_buffer_churn_keeps_padding_zero():
+    """Admit, decode (rows grow past what was admitted), evict from the
+    middle, swap out and re-admit, and fail a step before it commits:
+    every row a departing stream wrote is zeroed, and only those."""
+    from repro.models import LMConfig, TransformerLM
+    model = TransformerLM(LMConfig(vocab_size=16, max_seq_len=16, dim=8,
+                                   num_heads=2, num_layers=2, seed=3))
+    model.make_controller().hard()
+    rng = np.random.default_rng(3)
+    buffer = KVSlotBuffer(slots=4, num_blocks=2, heads=2, head_dim=4,
+                          capacity=16)
+
+    def admit(stream_id, size):
+        stream = _stream(stream_id)
+        stream.kv_capacity = 16
+        buffer.admit(stream, [{"k": rng.standard_normal((2, size, 4)),
+                               "v": rng.standard_normal((2, size, 4))}
+                              for _ in range(2)])
+        return stream
+
+    def decode(steps, commit=True):
+        for _ in range(steps):
+            batch = buffer.batch()
+            model.decode_step(rng.integers(0, 16, size=len(buffer)), batch)
+            if commit:
+                buffer.advance(batch)
+
+    streams = [admit(i, size) for i, size in enumerate((3, 6, 2, 4))]
+    decode(3)
+    assert_slots_zero_padded(buffer)
+    buffer.evict(streams[1])            # a long stream leaves the middle
+    assert_slots_zero_padded(buffer)
+    decode(2)
+    buffer.swap_out(streams[0])
+    assert_slots_zero_padded(buffer)
+    swapped, streams[0].caches = streams[0].caches, None
+    buffer.admit(streams[0], swapped)
+    decode(1)
+    assert_slots_zero_padded(buffer)
+    streams.append(admit(4, 5))
+    decode(1, commit=False)             # written, then failed uncommitted
+    for stream in list(buffer.streams):
+        buffer.evict(stream)
+    assert_slots_zero_padded(buffer)
+
+
 def test_per_stream_capacity_guard_raises():
     from repro.models import LMConfig, TransformerLM
     model = TransformerLM(LMConfig(vocab_size=16, max_seq_len=8, dim=8,

@@ -157,8 +157,9 @@ def test_oversized_request_rejected_at_submit():
 @pytest.mark.parametrize("front", ["engine", "tier"])
 def test_malformed_request_rejected_at_submit_among_good_ones(front,
                                                               tmp_path):
-    """A malformed request — a mask of the wrong length, a 2-D input to
-    a token model, a token id outside ``[0, vocab_size)`` — raises
+    """A malformed request — a mask of the wrong length, a mask that
+    selects no position (once served as NaN logits), a 2-D input to a
+    token model, a token id outside ``[0, vocab_size)`` — raises
     ``ValueError`` at submit on the engine and on the tier (which
     checks against the handshake's model config), and the good
     requests around it all finish ok instead of failing as one
@@ -175,6 +176,7 @@ def test_malformed_request_rejected_at_submit_among_good_ones(front,
     classifier = serve(make_classifier_engine(0), "classifier")  # vocab 50
     ids = [classifier.submit(rng.integers(0, 50, size=5))]
     for inputs, mask in [(np.arange(5), np.ones(4, dtype=bool)),
+                         (np.arange(5), np.zeros(5, dtype=bool)),
                          (np.zeros((5, 3), dtype=np.int64), None),
                          (np.array([1, 50, 2]), None),
                          (np.array([1, -1, 2]), None),
