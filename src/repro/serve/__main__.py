@@ -1,17 +1,16 @@
 """Serving demo: ``python -m repro.serve``.
 
 By default builds a small pruned classifier and a causal LM; with
-``--engine-dir`` it instead serves any saved
+``--engine-dir PATH`` it instead serves one saved
 ``PrunedInferenceEngine.from_directory`` snapshot (e.g. an entry of the
-eval store, or anything ``engine.save`` wrote) — pass ``--engine-dir``
-several times (optionally as ``NAME=PATH``) to mount a ``ModelRouter``
-over all of them behind one queue.  Pushes a burst of mixed-length
-requests / generation streams through the dynamic batcher and prints
-per-request results plus aggregate hardware accounting (cycles and
-energy charged per request even though the traffic was served
-coalesced).  Streams run on the step-planned continuous scheduler
-(``--preempt-after`` enables preemption under queue pressure);
-``--kernel-backend`` picks which
+eval store, or anything ``engine.save`` wrote), with classify requests
+for a classifier and generation streams for a causal LM.  Pushes a
+burst of mixed-length requests / generation streams through the
+dynamic batcher and prints per-request results plus aggregate
+hardware accounting (cycles and energy charged per request even
+though the traffic was served coalesced).  Streams run on the
+step-planned continuous scheduler (``--preempt-after`` enables
+preemption under queue pressure); ``--kernel-backend`` picks which
 bit-serial kernel backend produces the hardware estimates; each
 estimate records the backend that made it.
 """
@@ -19,7 +18,6 @@ estimate records the backend that made it.
 from __future__ import annotations
 
 import argparse
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +26,8 @@ from ..core import PrunedInferenceEngine
 from ..hw import AE_LEOPARD, get_backend
 from ..models import (ClassifierConfig, LMConfig, TransformerClassifier,
                       TransformerLM)
-from . import BatchPolicy, ModelRouter, ServingEngine, UnknownModelError
+from . import BatchPolicy, SchedulerConfig, ServingEngine
+from .engine import check_new_tokens
 
 
 def build_classifier_engine(seed: int = 0) -> PrunedInferenceEngine:
@@ -67,30 +66,54 @@ def load_engine(directory: str) -> PrunedInferenceEngine:
     return engine
 
 
-def _random_inputs(config, length: int, rng) -> np.ndarray:
-    """One request's inputs: token ids, or patch features for
-    continuous-input (ViT-style) classifiers."""
-    if config.vocab_size is not None:
-        return rng.integers(0, config.vocab_size, size=length)
-    return rng.standard_normal((length, config.input_dim))
-
-
 def make_serving(args, engine, hw_config,
                  name: str | None = None) -> ServingEngine:
     return ServingEngine(
-        engine,
-        BatchPolicy(max_batch_size=args.max_batch_size,
-                    max_wait=args.max_wait),
-        estimate_hardware=True, hw_config=hw_config,
+        engine, args.policy, estimate_hardware=True, hw_config=hw_config,
         preempt_after=args.preempt_after,
         registry=args.obs_registry, tracer=args.obs_tracer, name=name)
+
+
+def _random_prompts(args, config, rng) -> list[np.ndarray]:
+    """``--streams`` short prompts of token ids."""
+    prompt_cap = max(2, min(9, config.max_seq_len // 2))
+    return [rng.integers(1, config.vocab_size, size=int(length))
+            for length in rng.integers(1, prompt_cap, size=args.streams)]
+
+
+def _random_requests(args, config, rng) -> list[np.ndarray]:
+    """``--requests`` classify inputs: token ids, or patch features for
+    continuous-input (ViT-style) classifiers."""
+    lengths = rng.integers(3, config.max_seq_len + 1, size=args.requests)
+    if config.vocab_size is not None:
+        return [rng.integers(0, config.vocab_size, size=int(length))
+                for length in lengths]
+    return [rng.standard_normal((int(length), config.input_dim))
+            for length in lengths]
+
+
+def print_classify(result) -> None:
+    hw = result.hardware
+    print(f"  request {result.request_id}: class {result.prediction}  "
+          f"batch of {result.batch_sizes[0]}  "
+          f"{hw.runtime_ns:8.1f} ns ({hw.speedup_vs_baseline:.2f}x "
+          f"vs baseline, pruning {hw.pruning_rate:.0%}, "
+          f"kernel {hw.kernel_backend})")
+
+
+def print_stream(result) -> None:
+    hw = result.hardware
+    print(f"  stream {result.request_id}: {len(result.tokens)} tokens "
+          f"{result.tokens[:8].tolist()}...  coalesced with up to "
+          f"{max(result.batch_sizes)} streams  "
+          f"{hw.runtime_ns:8.1f} ns ({hw.speedup_vs_baseline:.2f}x, "
+          f"kernel {hw.kernel_backend})")
 
 
 def print_reason_stats(name: str, stats, health: str | None = None
                        ) -> None:
     """One observability line: terminal outcomes by reason code plus
-    the reliability counters (and the circuit-breaker state when a
-    router is mounted)."""
+    the reliability counters (and the replica's health in a tier)."""
     reasons = ", ".join(f"{reason}={count}"
                         for reason, count in sorted(stats.reasons.items()))
     line = (f"  [stats] {name}: {stats.completed} terminal "
@@ -105,20 +128,12 @@ def classify_demo(args, engine: PrunedInferenceEngine,
                   hw_config) -> None:
     print("== one-shot classification traffic ==")
     serving = make_serving(args, engine, hw_config, name="classifier")
-    config = engine.model.config
     rng = np.random.default_rng(args.seed)
-    lengths = rng.integers(3, config.max_seq_len + 1, size=args.requests)
-    ids = [serving.submit(_random_inputs(config, int(length), rng))
-           for length in lengths]
+    ids = [serving.submit(inputs) for inputs
+           in _random_requests(args, engine.model.config, rng)]
     serving.drain()
     for request_id in ids:
-        result = serving.finish(request_id)
-        hw = result.hardware
-        print(f"  request {request_id}: class {result.prediction}  "
-              f"batch of {result.batch_sizes[0]}  "
-              f"{hw.runtime_ns:8.1f} ns ({hw.speedup_vs_baseline:.2f}x "
-              f"vs baseline, pruning {hw.pruning_rate:.0%}, "
-              f"kernel {hw.kernel_backend})")
+        print_classify(serving.finish(request_id))
     stats = serving.stats
     print(f"  -> {stats.completed} requests in {stats.batches} batches "
           f"(mean size {stats.mean_batch_size:.1f}); traffic totals "
@@ -136,25 +151,15 @@ def generate_demo(args, engine: PrunedInferenceEngine,
     print("== concurrent generation streams (continuous scheduler, "
           "KV slot buffer) ==")
     serving = make_serving(args, engine, hw_config, name="lm")
-    config = engine.model.config
     rng = np.random.default_rng(args.seed)
-    prompt_cap = max(2, min(9, config.max_seq_len // 2))
-    ids = [serving.open_stream(
-               rng.integers(1, config.vocab_size, size=int(length)),
-               max_new_tokens=args.new_tokens)
-           for length in rng.integers(1, prompt_cap, size=args.streams)]
+    ids = [serving.open_stream(prompt, max_new_tokens=args.new_tokens)
+           for prompt in _random_prompts(args, engine.model.config, rng)]
     steps = 0
     while serving.has_pending():
         serving.step()
         steps += 1
     for stream_id in ids:
-        result = serving.finish(stream_id)
-        hw = result.hardware
-        print(f"  stream {stream_id}: {len(result.tokens)} tokens "
-              f"{result.tokens[:8].tolist()}...  coalesced with up to "
-              f"{max(result.batch_sizes)} streams  "
-              f"{hw.runtime_ns:8.1f} ns ({hw.speedup_vs_baseline:.2f}x, "
-              f"kernel {hw.kernel_backend})")
+        print_stream(serving.finish(stream_id))
     stats = serving.stats
     print(f"  -> {len(ids)} streams, {stats.decode_rounds} coalesced "
           f"decode rounds over {steps} engine steps; traffic totals "
@@ -181,28 +186,24 @@ def tier_demo(args, directory: str, hw_config) -> None:
         print(f"== shared-nothing worker tier ({replicas} replicas, "
               "least-loaded routing) ==")
     with tier_cls.from_snapshot(
-            directory, replicas=replicas,
-            policy=BatchPolicy(max_batch_size=args.max_batch_size,
-                               max_wait=args.max_wait),
+            directory, replicas=replicas, policy=args.policy,
             estimate_hardware=True, hw_config=hw_config,
             preempt_after=args.preempt_after,
             registry=args.obs_registry, tracer=args.obs_tracer) as tier:
+        # traffic shape follows the model, as on the single-engine path
         config = tier.handshake["config"]
         rng = np.random.default_rng(args.seed)
-        prompt_cap = max(2, min(9, config.max_seq_len // 2))
-        ids = [tier.open_stream(
-                   rng.integers(1, config.vocab_size, size=int(length)),
-                   max_new_tokens=args.new_tokens)
-               for length in rng.integers(1, prompt_cap,
-                                          size=args.streams)]
+        if tier.handshake["decode"]:
+            ids = [tier.open_stream(prompt, max_new_tokens=args.new_tokens)
+                   for prompt in _random_prompts(args, config, rng)]
+        else:
+            ids = [tier.submit(inputs)
+                   for inputs in _random_requests(args, config, rng)]
         tier.drain()
-        for stream_id in ids:
-            result = tier.finish(stream_id)
-            hw = result.hardware
-            print(f"  stream {stream_id}: {len(result.tokens)} tokens  "
-                  f"{hw.runtime_ns:8.1f} ns "
-                  f"({hw.speedup_vs_baseline:.2f}x, kernel "
-                  f"{hw.kernel_backend})")
+        for request_id in ids:
+            result = tier.finish(request_id)
+            (print_stream if result.kind == "generate"
+             else print_classify)(result)
         summary = tier.stats_summary()
         tier_row = summary["tier"]
         reasons = ", ".join(f"{reason}={count}" for reason, count
@@ -220,73 +221,15 @@ def tier_demo(args, directory: str, hw_config) -> None:
                                    health=row["health"])
 
 
-def router_demo(args, engines: dict[str, PrunedInferenceEngine],
-                hw_config) -> None:
-    print(f"== multi-model router ({len(engines)} engines, shared "
-          f"step budget {args.max_batch_size}) ==")
-    router = ModelRouter(
-        {name: make_serving(args, engine, hw_config, name=name)
-         for name, engine in engines.items()},
-        step_budget=args.max_batch_size, registry=args.obs_registry)
-    rng = np.random.default_rng(args.seed)
-    targets = engines.items()
-    if args.model is not None:
-        if args.model not in engines:
-            # hand the typo to the router so the user sees its
-            # canonical unknown-model error (which lists the mounts)
-            router.submit(np.zeros(3, dtype=np.int64), model=args.model)
-        targets = [(args.model, engines[args.model])]
-    ids: list[tuple[str, int]] = []
-    for name, engine in targets:
-        config = engine.model.config
-        if hasattr(engine.model, "decode_step"):
-            prompt_cap = max(2, min(9, config.max_seq_len // 2))
-            for length in rng.integers(1, prompt_cap, size=args.streams):
-                prompt = rng.integers(1, config.vocab_size,
-                                      size=int(length))
-                ids.append((name, router.open_stream(
-                    prompt, args.new_tokens, model=name)))
-        else:
-            lengths = rng.integers(3, config.max_seq_len + 1,
-                                   size=args.requests)
-            for length in lengths:
-                ids.append((name, router.submit(
-                    _random_inputs(config, int(length), rng),
-                    model=name)))
-    router.drain()
-    for name, request_id in ids:
-        result = router.finish(request_id)
-        hw = result.hardware
-        what = (f"{len(result.tokens)} tokens" if result.kind == "generate"
-                else f"class {result.prediction}")
-        print(f"  [{name}] request {request_id}: {what}  "
-              f"{hw.runtime_ns:8.1f} ns "
-              f"({hw.speedup_vs_baseline:.2f}x, kernel "
-              f"{hw.kernel_backend})")
-    for name, stats in router.stats.items():
-        print(f"  -> {name}: {stats.completed} served, "
-              f"{stats.batches} batches (mean size "
-              f"{stats.mean_batch_size:.1f}), "
-              f"{stats.hardware.runtime_ns / 1e3:.1f} us total")
-    if args.stats:
-        summary = router.stats_summary()
-        for name, stats in router.stats.items():
-            print_reason_stats(name, stats,
-                               health=summary[name]["health"])
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="batched serving demo over the pruned engine")
     parser.add_argument("--mode", choices=["classify", "generate", "both"],
                         default="both")
-    parser.add_argument("--engine-dir", action="append", default=None,
-                        metavar="[NAME=]PATH",
+    parser.add_argument("--engine-dir", default=None, metavar="PATH",
                         help="serve a saved PrunedInferenceEngine "
-                             "snapshot instead of the built-in toys; "
-                             "repeat to mount a multi-model router "
-                             "(NAME defaults to the directory name)")
+                             "snapshot instead of the built-in toys")
     parser.add_argument("--preempt-after", type=int, default=None,
                         metavar="STEPS",
                         help="preempt streams that ran "
@@ -300,14 +243,9 @@ def main(argv=None) -> None:
                         help="tokens to generate per stream")
     parser.add_argument("--max-batch-size", type=int, default=4)
     parser.add_argument("--max-wait", type=float, default=0.002)
-    parser.add_argument("--model", default=None, metavar="NAME",
-                        help="router mode: direct the whole demo burst "
-                             "at one mounted model (a typo exits with "
-                             "the router's unknown-model error instead "
-                             "of a traceback)")
     parser.add_argument("--replicas", type=int, default=1,
                         metavar="N",
-                        help="serve generation traffic through a "
+                        help="serve the demo traffic through a "
                              "shared-nothing WorkerTier of N engine "
                              "replicas (each rebuilt from the same "
                              "snapshot) instead of one engine")
@@ -318,8 +256,8 @@ def main(argv=None) -> None:
                              "all memory-mapping one shared snapshot")
     parser.add_argument("--stats", action="store_true",
                         help="print per-engine terminal-reason counters "
-                             "(and circuit-breaker states under the "
-                             "router) after each demo")
+                             "(and per-replica health in a tier) after "
+                             "each demo")
     parser.add_argument("--kernel-backend", default=None,
                         help="bit-serial kernel backend for hardware "
                              "estimates (see repro.hw.backends)")
@@ -349,9 +287,15 @@ def main(argv=None) -> None:
     if args.kernel_backend:
         get_backend(args.kernel_backend)      # typo -> error before traffic
         hw_config = replace(AE_LEOPARD, kernel_backend=args.kernel_backend)
-    if args.model is not None and len(args.engine_dir or []) < 2:
-        parser.error("--model routes within a multi-model router; mount "
-                     "at least two --engine-dir snapshots")
+    try:
+        # the serving stack's own checks: a one-line error, no traceback
+        args.policy = BatchPolicy(max_batch_size=args.max_batch_size,
+                                  max_wait=args.max_wait)
+        SchedulerConfig(max_slots=args.max_batch_size,
+                        preempt_after=args.preempt_after)
+        check_new_tokens(args.new_tokens)
+    except ValueError as error:
+        parser.error(str(error))
     if args.replicas < 1:
         parser.error("--replicas must be >= 1")
     if args.procs is not None:
@@ -360,10 +304,6 @@ def main(argv=None) -> None:
         if args.replicas > 1:
             parser.error("--procs and --replicas are alternatives: "
                          "pick in-process replicas or worker processes")
-    if ((args.replicas > 1 or args.procs is not None)
-            and len(args.engine_dir or []) > 1):
-        parser.error("--replicas/--procs scale one snapshot; mount at "
-                     "most one --engine-dir")
 
     # observability surfaces are opt-in: without these flags every
     # engine binds no-op handles and the demo runs uninstrumented
@@ -403,8 +343,7 @@ def _dispatch(args, hw_config) -> None:
         import tempfile
         with tempfile.TemporaryDirectory() as scratch:
             if args.engine_dir:
-                directory = args.engine_dir[0].rpartition("=")[2] \
-                    or args.engine_dir[0]
+                directory = args.engine_dir
                 load_engine(directory)   # validate before replication
             else:
                 directory = scratch
@@ -413,24 +352,9 @@ def _dispatch(args, hw_config) -> None:
         return
 
     if args.engine_dir:
-        engines: dict[str, PrunedInferenceEngine] = {}
-        for spec in args.engine_dir:
-            name, _, path = spec.rpartition("=")
-            path = path or spec
-            name = name or os.path.basename(os.path.normpath(path))
-            if name in engines:
-                raise SystemExit(f"error: duplicate model name {name!r}; "
-                                 "disambiguate with NAME=PATH")
-            engines[name] = load_engine(path)
-        if len(engines) > 1:
-            try:
-                router_demo(args, engines, hw_config)
-            except UnknownModelError as error:
-                raise SystemExit(f"error: {error}") from None
-            return
-        (directory,), (engine,) = args.engine_dir, engines.values()
+        engine = load_engine(args.engine_dir)
         generative = hasattr(engine.model, "decode_step")
-        print(f"[engine] {directory}: "
+        print(f"[engine] {args.engine_dir}: "
               f"{type(engine.model).__name__} "
               f"({'generate' if generative else 'classify'} traffic)")
         if generative:

@@ -5,15 +5,14 @@ the arrival queue and steps the core whenever a batch fills or the
 oldest request's ``max_wait`` deadline passes — so requests from
 independent coroutines coalesce into shared batches.
 
-The core may be a single :class:`~repro.serve.engine.ServingEngine`,
-a :class:`~repro.serve.router.ModelRouter`, or a replica tier
-(:class:`~repro.serve.workers.WorkerTier` in-process,
-:class:`~repro.serve.procworkers.ProcessWorkerTier` over worker
-processes) — all expose the same submit/step/finish surface, plus the
-``streams_pending()`` probe the runner keeps stepping on; with a
-router, ``submit(..., model=...)`` routes each awaiting client to its
-model, and with a tier each request lands on the least-loaded
-replica, while every queue is driven by the one runner task.
+The core may be a single :class:`~repro.serve.engine.ServingEngine`
+or a replica tier (:class:`~repro.serve.workers.WorkerTier`
+in-process, :class:`~repro.serve.procworkers.ProcessWorkerTier` over
+worker processes) — both expose the same submit/step/finish surface,
+plus the ``streams_pending()`` probe the runner keeps stepping on;
+with a tier each request lands on the least-loaded replica, while
+every queue is driven by the one runner task.  One front door serves
+one model: several models take one front door each.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import time
 
 import numpy as np
 
-from .engine import ServeResult, ServingEngine
+from .engine import ServeResult
 
 
 class AsyncServingEngine:
@@ -105,34 +104,26 @@ class AsyncServingEngine:
 
     async def submit(self, inputs: np.ndarray,
                      mask: np.ndarray | None = None,
-                     model: str | None = None,
                      deadline: float | None = None,
                      ttl: float | None = None) -> ServeResult:
         """Queue one request and wait for its result; requests from
-        concurrent tasks are dynamically batched together.  ``model``
-        routes the request when the core is a ``ModelRouter``;
+        concurrent tasks are dynamically batched together.
         ``deadline``/``ttl`` bound its lifetime (a missed deadline
         raises ``DeadlineExceeded`` here)."""
         if self._task is None:
             raise RuntimeError("engine not started; use 'async with'")
-        kwargs = {"deadline": deadline, "ttl": ttl}
-        if model is not None:
-            kwargs["model"] = model
-        request_id = self._serving.submit(inputs, mask, **kwargs)
+        request_id = self._serving.submit(inputs, mask, deadline=deadline,
+                                          ttl=ttl)
         return await self._await_result(request_id)
 
     async def open_stream(self, prompt: np.ndarray, max_new_tokens: int,
-                          model: str | None = None,
                           deadline: float | None = None,
                           ttl: float | None = None) -> ServeResult:
         """Open a generation stream and wait for its full result."""
         if self._task is None:
             raise RuntimeError("engine not started; use 'async with'")
-        kwargs = {"deadline": deadline, "ttl": ttl}
-        if model is not None:
-            kwargs["model"] = model
-        request_id = self._serving.open_stream(prompt, max_new_tokens,
-                                               **kwargs)
+        request_id = self._serving.open_stream(
+            prompt, max_new_tokens, deadline=deadline, ttl=ttl)
         return await self._await_result(request_id)
 
     def cancel(self, request_id: int) -> bool:

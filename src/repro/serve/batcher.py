@@ -96,9 +96,9 @@ class DynamicBatcher:
     scheduler drains explicitly: each step pops exactly as many streams
     as the planner has free decode slots for (``pop_streams``), and
     preempted streams re-enter at the back so fresh arrivals are never
-    starved by swapped-out residents.  Under a model router each model
-    owns its own batcher, so every queue here — widths and streams —
-    is per-model by construction.
+    starved by swapped-out residents.  Each engine serves one model
+    and owns its own batcher, so every queue here — widths and
+    streams — is per-model by construction.
     """
 
     def __init__(self, policy: BatchPolicy, max_len: int):

@@ -24,8 +24,8 @@ requests happened to be coalesced with it, nor on which slot served
 it.
 
 The core is synchronous and clock-injectable (tests drive a virtual
-clock); :mod:`repro.serve.aio` adds the awaitable front door and
-:mod:`repro.serve.router` the multi-model front door.
+clock); :mod:`repro.serve.aio` adds the awaitable front door.  Serving
+several models means one engine (or replica tier) per model.
 """
 
 from __future__ import annotations
@@ -173,6 +173,12 @@ def check_classify(inputs, mask, limit: int, config
     return inputs, mask
 
 
+def check_new_tokens(max_new_tokens: int) -> None:
+    """A generation request asks for at least one new token."""
+    if max_new_tokens < 1:
+        raise ValueError("max_new_tokens must be >= 1")
+
+
 def check_stream(prompt, max_new_tokens: int, limit: int, decode: bool,
                  config) -> np.ndarray:
     """One generation request's prompt as flat int64 token ids in
@@ -182,8 +188,7 @@ def check_stream(prompt, max_new_tokens: int, limit: int, decode: bool,
     if not decode:
         raise TypeError("model does not support incremental decode; "
                         "open_stream needs a causal LM")
-    if max_new_tokens < 1:
-        raise ValueError("max_new_tokens must be >= 1")
+    check_new_tokens(max_new_tokens)
     prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
     if prompt.size == 0 or prompt.size > limit:
         raise ValueError(f"prompt length must be in [1, {limit}]")
@@ -357,9 +362,6 @@ class ServingEngine:
         # next step()/flush() reports them so pollers see them complete
         self._instant: list[int] = []
         self._next_id = 0
-        # contained forward failures during the latest step — the
-        # router's circuit breaker reads this after each step
-        self.last_step_errors = 0
         self.stats = ServingStats()
 
     # -- observability --------------------------------------------------
@@ -460,8 +462,7 @@ class ServingEngine:
     def tokens_per_step(self) -> int:
         """Rough per-step token throughput for SLO prediction: the
         token budget when planning with one, else the decode-slot
-        count.  Public because front doors (the model router's
-        admission gate) price backlog drain time with it."""
+        count."""
         if self._step_token_budget is not None:
             return self._step_token_budget
         return self._planner.config.max_slots
@@ -666,65 +667,23 @@ class ServingEngine:
         drained, self._instant = self._instant, []
         return drained
 
-    # -- quarantine support (driven by the model router) ----------------
-    def drain_waiting(self) -> tuple[list[QueuedRequest], list]:
-        """Pull every piece of not-yet-started work out of the queues
-        for rerouting: (queued classify requests, waiting *fresh*
-        streams).  Swapped-out streams carry KV state and partial
-        generations bound to this engine's model, so they stay behind
-        (``abort_all`` fails them fast)."""
-        requests: list[QueuedRequest] = []
-        while len(self._batcher):
-            requests += self._batcher.pop()[1]
-        fresh, kept = [], []
-        for stream in self._batcher.pop_streams():
-            (kept if stream.swapped else fresh).append(stream)
-        for stream in kept:
-            self._batcher.add_stream(stream)
-        for stream in fresh:
-            self._streams.pop(stream.stream_id, None)
-        return requests, fresh
-
-    def abort_all(self, error: Exception) -> list[int]:
-        """Fail-fast everything still live — queued requests, waiting/
-        swapped/running streams — with ``engine_error``, releasing all
-        queue entries, caches and KV slots.  Returns the ids that
-        terminated (plus any unreported instant terminations), so a
-        quarantining router can fan the failures out instead of letting
-        the work stall silently."""
-        completed = self._drain_instant()
-        while len(self._batcher):
-            for request in self._batcher.pop()[1]:
-                self._terminal(request.request_id, "classify",
-                               REASON_ERROR, error)
-                completed.append(request.request_id)
-        for stream in list(self._streams.values()):
-            if stream.done:
-                continue
-            self._terminate_stream(stream, REASON_ERROR, error)
-            completed.append(stream.stream_id)
-        return completed
-
     # -- advancing ------------------------------------------------------
-    def step(self, now: float | None = None,
-             budget: int | None = None) -> list[int]:
+    def step(self, now: float | None = None) -> list[int]:
         """One scheduler step: flush every due classification batch,
         then advance the streams (plan admissions / preemptions,
-        decode the slot batch).  ``budget`` caps this step's decode
-        slots (the model router's shared step budget).  Returns ids
-        completed during this step."""
+        decode the slot batch).  Returns ids completed during this
+        step."""
         if self._faults is not None:
             # injected step latency: burn it before reading the clock
             # so this step (and its deadline checks) observe the delay
             self._faults.latency_check()
         now = self._clock() if now is None else now
         self._now = now
-        self.last_step_errors = 0
         completed = self._drain_instant()
         completed += self._shed_expired(now)
         while self._batcher.ready(now):
             completed += self._serve_classify(*self._batcher.pop(now))
-        completed += self._advance_streams(budget)
+        completed += self._advance_streams()
         if self._slo is not None:
             # refine the SLO model's step-time estimate from the wall
             # duration this step actually took (no-op on virtual clocks)
@@ -754,7 +713,7 @@ class ServingEngine:
         completed = self.flush()
         while self.streams_pending():
             self._now = self._clock()
-            completed += self._advance_streams(None)
+            completed += self._advance_streams()
         return completed
 
     # -- completion -----------------------------------------------------
@@ -832,7 +791,6 @@ class ServingEngine:
         except Exception as error:       # noqa: BLE001
             # fail exactly this batch's requests; traffic queued in
             # other widths/batches must keep flowing
-            self.last_step_errors += 1
             completed = []
             for request in requests:
                 self._terminal(request.request_id, "classify",
@@ -919,7 +877,7 @@ class ServingEngine:
                           else None))
         return self._slots
 
-    def _advance_streams(self, budget: int | None) -> list[int]:
+    def _advance_streams(self) -> list[int]:
         """One planned step: preempt under pressure, admit waiting
         streams into free slots (fresh ones prefill this step — the
         chunked-prefill piggyback), decode the slot batch once."""
@@ -934,7 +892,7 @@ class ServingEngine:
                           for s in self._batcher.peek_streams(
                               self._planner.config.max_slots)]
         plan = self._planner.plan(slots.streams,
-                                  self._batcher.stream_count(), budget,
+                                  self._batcher.stream_count(),
                                   waiting_tokens=waiting_tokens)
         for stream in plan.preempt:
             slots.swap_out(stream)
@@ -1072,7 +1030,6 @@ class ServingEngine:
         ``engine_error``.  Slot release is deliberately left to the
         scheduler's done-stream sweep, which already evicts finished
         streams once the shared buffers are consistent."""
-        self.last_step_errors += 1
         for stream in streams:
             stream.done = True
             self._terminal(stream.stream_id, "generate", REASON_ERROR,

@@ -21,12 +21,11 @@ request: (1) inter-arrival gap, (2) request kind, (3) prompt length,
   by arrival storms that overrun any fixed provisioning.
 
 ``replay_trace`` feeds a trace into any serving core (a
-:class:`~repro.serve.engine.ServingEngine`, a replica tier, or a
-:class:`~repro.serve.router.ModelRouter`) and returns a
-:class:`LoadReport`.  Driven with a :class:`VirtualClock` the whole
-replay is deterministic — arrivals land at exact trace times and
-every latency number replays bit-identically; driven with the wall
-clock it measures real throughput for the CI SLO gate
+:class:`~repro.serve.engine.ServingEngine` or a replica tier) and
+returns a :class:`LoadReport`.  Driven with a :class:`VirtualClock`
+the whole replay is deterministic — arrivals land at exact trace times
+and every latency number replays bit-identically; driven with the
+wall clock it measures real throughput for the CI SLO gate
 (``--check --max-ttft-p99 ... --min-tok-s ...``), publishing a
 ``BENCH_serving_slo.json`` artifact via
 :func:`~repro.eval.artifacts.record_bench`.
@@ -273,7 +272,7 @@ def replay_trace(core, trace, clock=None,
     """Feed a trace into a serving core and measure it.
 
     ``core`` is anything with the engine surface (``ServingEngine``,
-    ``WorkerTier``, ``ModelRouter``); ``trace`` a :class:`TraceSpec`
+    ``WorkerTier``, ``ProcessWorkerTier``); ``trace`` a :class:`TraceSpec`
     or an expanded request list.  ``clock=None`` runs on a fresh
     :class:`VirtualClock` advanced ``virtual_dt`` per step (fully
     deterministic — the default for tests); any object with an

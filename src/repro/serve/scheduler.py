@@ -69,7 +69,6 @@ class StepPlan:
 
     preempt: list[StreamState] = field(default_factory=list)
     admit_slots: int = 0                 # waiting streams to pull in
-    budget: int = 0                      # decode rows allowed this step
     step_tokens: int = 0                 # decode + prefill tokens planned
 
     @property
@@ -103,44 +102,30 @@ class StepPlanner:
             **labels)
 
     def plan(self, running: list[StreamState], waiting: int,
-             budget: int | None = None,
              waiting_tokens: list[int] | None = None) -> StepPlan:
         """Decide preemptions and admissions for this step.
 
-        ``running``: streams currently holding slots; ``waiting``: how
-        many streams sit in the admission queue; ``budget``: slots this
-        step may use (a router sharing its step budget across engines
-        passes a smaller number; default: ``max_slots``).
-        ``waiting_tokens``: per-stream step cost of the waiting queue's
-        head, FIFO order — prompt length + 1 for a fresh stream (its
-        chunked prefill rides this step), 1 for a swapped-out resumer.
-        Only consulted under a ``step_token_budget``.
+        ``running``: streams currently holding slots (never more than
+        ``max_slots``); ``waiting``: how many streams sit in the
+        admission queue.  ``waiting_tokens``: per-stream step cost of
+        the waiting queue's head, FIFO order — prompt length + 1 for a
+        fresh stream (its chunked prefill rides this step), 1 for a
+        swapped-out resumer.  Only consulted under a
+        ``step_token_budget``.
         """
-        slots = self.config.max_slots
-        if budget is not None:
-            slots = max(1, min(slots, budget))
-        plan = StepPlan(budget=slots)
-
-        # forced preemption: the budget shrank below the running set
-        # (router rebalancing) — swap out the longest-running overflow
-        overflow = len(running) - slots
-        victims: list[StreamState] = []
-        if overflow > 0:
-            victims = self._longest_running(running, overflow)
-
-        free = slots - (len(running) - len(victims))
+        plan = StepPlan()
+        free = self.config.max_slots - len(running)
         # pressure preemption: waiting streams beyond what free slots
         # absorb evict residents that have held a slot long enough
-        pressured = waiting - max(free, 0)
+        pressured = waiting - free
+        victims: list[StreamState] = []
         if (self.config.preempt_after is not None
                 and pressured >= self.config.pressure):
-            eligible = [s for s in running if s not in victims
-                        and s.steps_since_admit
+            eligible = [s for s in running if s.steps_since_admit
                         >= self.config.preempt_after]
-            extra = self._longest_running(eligible,
-                                          min(pressured, len(eligible)))
-            victims += extra
-            free += len(extra)
+            victims = self._longest_running(eligible,
+                                            min(pressured, len(eligible)))
+            free += len(victims)
 
         plan.preempt = victims
         plan.admit_slots = max(0, min(free, waiting))

@@ -31,7 +31,7 @@ def test_blanket_scheduler_failure_fails_all_waiting_exactly_once():
     serving = make_async_core()
     boom = RuntimeError("scheduler bug")
 
-    def broken_step(now=None, budget=None):
+    def broken_step(now=None):
         raise boom
 
     serving.step = broken_step
@@ -56,7 +56,7 @@ def test_blanket_failure_with_live_streams_does_not_hang_close():
     original_step = serving.step
     state = {"calls": 0}
 
-    def failing_after_prefill(now=None, budget=None):
+    def failing_after_prefill(now=None):
         state["calls"] += 1
         if state["calls"] >= 2:          # let prefill run, then break
             raise RuntimeError("scheduler died mid-decode")

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from repro.serve.__main__ import build_classifier_engine, build_lm_engine
+from repro.serve.__main__ import (build_classifier_engine, build_lm_engine,
+                                  main as serve_main)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -46,27 +47,52 @@ def test_serve_demo_worker_tier_smoke():
     assert "Traceback" not in proc.stderr
 
 
-def test_unknown_model_is_a_clean_error(tmp_path):
-    build_lm_engine(0).save(str(tmp_path / "lm"))
-    build_classifier_engine(0).save(str(tmp_path / "clf"))
-    proc = run_cli("-m", "repro.serve",
-                   "--engine-dir", f"lm={tmp_path / 'lm'}",
-                   "--engine-dir", f"clf={tmp_path / 'clf'}",
-                   "--model", "nope")
-    assert proc.returncode != 0
-    blob = proc.stdout + proc.stderr
-    assert "error:" in blob and "nope" in blob
-    assert "Traceback" not in proc.stderr
+@pytest.fixture(scope="module")
+def snapshots(tmp_path_factory):
+    """The toy LM and the toy classifier, each saved as a snapshot."""
+    root = tmp_path_factory.mktemp("snapshots")
+    return {"lm": build_lm_engine(0).save(str(root / "lm")),
+            "clf": build_classifier_engine(0).save(str(root / "clf"))}
 
 
-def test_replicas_reject_multiple_snapshots(tmp_path):
-    build_lm_engine(0).save(str(tmp_path / "lm"))
-    proc = run_cli("-m", "repro.serve", "--replicas", "2",
-                   "--engine-dir", f"a={tmp_path / 'lm'}",
-                   "--engine-dir", f"b={tmp_path / 'lm'}")
-    assert proc.returncode != 0
-    assert "one snapshot" in proc.stderr
+@pytest.mark.parametrize("model,shape,served", [
+    ("lm", "(generate traffic)", "stream "),
+    ("clf", "(classify traffic)", "request "),
+])
+def test_serve_single_snapshot(snapshots, capsys, model, shape, served):
+    serve_main(["--engine-dir", snapshots[model], "--requests", "3",
+                "--streams", "3", "--new-tokens", "3"])
+    out = capsys.readouterr().out
+    assert shape in out
+    assert sum(line.lstrip().startswith(served)
+               for line in out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("flag", ["--replicas", "--procs"])
+def test_tier_demo_serves_classifier_snapshot(snapshots, flag):
+    count = "2" if flag == "--replicas" else "1"
+    proc = run_cli("-m", "repro.serve", flag, count, "--stats",
+                   "--engine-dir", snapshots["clf"], "--requests", "4")
+    assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    # one classify result line per request
+    assert proc.stdout.count(": class ") == 4
+    assert "-> tier: 4 terminal" in proc.stdout
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--max-batch-size", "0"], "max_batch_size must be >= 1"),
+    (["--max-wait", "-1"], "max_wait must be >= 0"),
+    (["--new-tokens", "0"], "max_new_tokens must be >= 1"),
+    (["--preempt-after", "0"], "preempt_after must be >= 1"),
+], ids=["max-batch-size", "max-wait", "new-tokens", "preempt-after"])
+def test_bad_numeric_flags_are_clean_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        serve_main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_loadgen_cli_virtual_check_passes():

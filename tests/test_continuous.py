@@ -5,15 +5,13 @@ partially-filled decode batch, shuffled across KV slots, preempted to
 swapped-out state and resumed — must be *bit-identical* (tokens,
 logits, pruning masks, hardware estimates) to the same stream served
 alone, and its tokens must equal the model's own greedy ``generate``,
-under staggered arrivals, preemption/resume, and multi-model
-routing."""
+under staggered arrivals and preemption/resume."""
 
 import numpy as np
 import pytest
 
-from repro.serve import (BatchPolicy, KVSlotBuffer, ModelRouter,
-                         SchedulerConfig, ServingEngine, StepPlanner,
-                         StreamState)
+from repro.serve import (BatchPolicy, KVSlotBuffer, SchedulerConfig,
+                         ServingEngine, StepPlanner, StreamState)
 from tests.test_serving import (assert_records_identical,
                                 make_classifier_engine, make_lm_engine,
                                 serve_classify, serve_streams)
@@ -168,59 +166,6 @@ def test_mixed_classify_and_streams_continuous():
 
 
 # ---------------------------------------------------------------------------
-# multi-model routing
-# ---------------------------------------------------------------------------
-
-def test_router_bit_identical_under_shared_budget():
-    lm_a, lm_b = make_lm_engine(0), make_lm_engine(5)
-    rng = np.random.default_rng(13)
-    prompts_a = [rng.integers(1, 40, size=int(n))
-                 for n in rng.integers(1, 9, size=5)]
-    prompts_b = [rng.integers(1, 40, size=int(n))
-                 for n in rng.integers(1, 9, size=5)]
-    solo_a, _ = serve_streams(lm_a, prompts_a, 5, max_batch_size=1)
-    solo_b, _ = serve_streams(lm_b, prompts_b, 5, max_batch_size=1)
-
-    clock = [0.0]
-    router = ModelRouter(
-        {"a": ServingEngine(lm_a, BatchPolicy(max_batch_size=4,
-                                              max_wait=0.0),
-                            estimate_hardware=True,
-                            clock=lambda: clock[0], preempt_after=3),
-         "b": ServingEngine(lm_b, BatchPolicy(max_batch_size=4,
-                                              max_wait=0.0),
-                            estimate_hardware=True,
-                            clock=lambda: clock[0], preempt_after=3)},
-        step_budget=4, clock=lambda: clock[0])
-    ids_a = [router.open_stream(p, 5, model="a") for p in prompts_a]
-    ids_b = [router.open_stream(p, 5, model="b") for p in prompts_b]
-    router.drain()
-    assert_streams_identical([router.finish(i) for i in ids_a], solo_a)
-    assert_streams_identical([router.finish(i) for i in ids_b], solo_b)
-    # the shared budget really constrained each engine's step batch
-    assert all(s.max_batch_size <= 4 for s in router.stats.values())
-
-
-def test_router_routes_by_model_and_rejects_unknown():
-    router = ModelRouter({"lm": ServingEngine(
-        make_lm_engine(0), BatchPolicy(max_batch_size=2, max_wait=0.0))})
-    rng = np.random.default_rng(0)
-    with pytest.raises(KeyError, match="unknown model"):
-        router.open_stream(rng.integers(1, 40, size=3), 2, model="nope")
-    # single mounted model: model= may be omitted
-    stream_id = router.open_stream(rng.integers(1, 40, size=3), 2)
-    router.drain()
-    assert router.finish(stream_id).tokens.shape[0] == 5
-    multi = ModelRouter({
-        "x": ServingEngine(make_lm_engine(0),
-                           BatchPolicy(max_batch_size=2, max_wait=0.0)),
-        "y": ServingEngine(make_lm_engine(1),
-                           BatchPolicy(max_batch_size=2, max_wait=0.0))})
-    with pytest.raises(ValueError, match="pass model="):
-        multi.open_stream(rng.integers(1, 40, size=3), 2)
-
-
-# ---------------------------------------------------------------------------
 # scheduler / KV-slot internals
 # ---------------------------------------------------------------------------
 
@@ -256,14 +201,6 @@ def test_planner_preempts_longest_running_under_pressure():
     relaxed = StepPlanner(SchedulerConfig(max_slots=2, preempt_after=3,
                                           pressure=2))
     assert not relaxed.plan(running, waiting=1).preempt
-
-
-def test_planner_budget_shrink_forces_preemption():
-    planner = StepPlanner(SchedulerConfig(max_slots=4))
-    running = [_stream(0, 9), _stream(1, 2), _stream(2, 7)]
-    plan = planner.plan(running, waiting=0, budget=2)
-    assert [s.stream_id for s in plan.preempt] == [0]
-    assert plan.budget == 2 and plan.admit_slots == 0
 
 
 def test_kv_slot_buffer_admit_evict_swap_round_trip():

@@ -1,6 +1,6 @@
 """Reliability layer pins: deterministic fault injection, deadlines,
-cancellation, admission control, retry recovery, health-checked
-routing, and sweep crash recovery.
+cancellation, admission control, retry recovery, and sweep crash
+recovery.
 
 The chaos soak at the bottom is the headline invariant: under a seeded
 :class:`~repro.serve.faults.FaultPlan` every request terminates with a
@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from repro.serve import (BatchPolicy, DeadlineExceeded, Fault, FaultPlan,
-                         HealthPolicy, InjectedKernelError, ModelRouter,
-                         REASON_CANCELLED, REASON_DEADLINE, REASON_ERROR,
-                         REASON_OK, REASON_SHED, RequestCancelled,
-                         ServingEngine, ShedOverload, UnknownModelError)
+                         InjectedKernelError, REASON_CANCELLED,
+                         REASON_DEADLINE, REASON_ERROR, REASON_OK,
+                         REASON_SHED, RequestCancelled, ServingEngine,
+                         ShedOverload)
 from tests.test_serving import (assert_records_identical,
                                 make_classifier_engine, make_lm_engine,
                                 serve_classify, serve_streams)
@@ -298,150 +298,6 @@ def test_exhausted_retries_fail_chunk_without_leaking():
     with pytest.raises(InjectedKernelError):
         serving.finish(stream_id)
     assert_no_leaks(serving)
-
-
-# ---------------------------------------------------------------------------
-# health-checked routing
-# ---------------------------------------------------------------------------
-
-def make_routed(names_to_plans, clock, policy, fallbacks=None,
-                generative=False, max_batch_size=1):
-    engines = {}
-    for name, plan in names_to_plans.items():
-        inner = make_lm_engine(0) if generative \
-            else make_classifier_engine(0)
-        engines[name] = ServingEngine(
-            inner, BatchPolicy(max_batch_size=max_batch_size,
-                               max_wait=0.0),
-            clock=lambda: clock[0], faults=plan, sleep=lambda s: None)
-    return ModelRouter(engines, clock=lambda: clock[0], health=policy,
-                       fallbacks=fallbacks)
-
-
-def test_unknown_model_error_lists_mounted_names():
-    clock = [0.0]
-    router = make_routed({"alpha": None, "beta": None}, clock,
-                         HealthPolicy())
-    with pytest.raises(UnknownModelError) as excinfo:
-        router.submit(np.arange(3), model="gamma")
-    message = str(excinfo.value)
-    assert "unknown model 'gamma'" in message
-    assert "'alpha'" in message and "'beta'" in message
-
-
-def test_serve_cli_unknown_model_exits_without_traceback(tmp_path):
-    from repro.core import PrunedInferenceEngine
-    from repro.serve.__main__ import (build_classifier_engine,
-                                      main as serve_main)
-
-    dirs = []
-    for i in range(2):
-        engine = build_classifier_engine(i)
-        dirs.append(engine.save(str(tmp_path / f"m{i}")))
-    with pytest.raises(SystemExit) as excinfo:
-        serve_main(["--engine-dir", f"a={dirs[0]}",
-                    "--engine-dir", f"b={dirs[1]}", "--model", "zzz"])
-    message = str(excinfo.value)
-    assert "unknown model 'zzz'" in message
-    assert "'a'" in message and "'b'" in message
-    # sanity: rebuilding from the snapshot really works
-    assert PrunedInferenceEngine.from_directory(dirs[0]) is not None
-
-
-def test_router_backoff_skips_engine_then_retries():
-    clock = [0.0]
-    policy = HealthPolicy(degraded_after=1, quarantine_after=3,
-                          backoff_base=10.0, max_backoff=100.0)
-    plan = FaultPlan([Fault(kind="forward", at=0)])
-    router = make_routed({"m": plan}, clock, policy, max_batch_size=4)
-
-    first = router.submit(np.arange(1, 6), model="m")
-    assert router.step() == [first]      # forward faulted: typed error
-    assert router.result(first).reason == REASON_ERROR
-    assert router.health_states() == {"m": "degraded"}
-
-    second = router.submit(np.arange(1, 6), model="m")
-    clock[0] = 1.0
-    assert router.step() == []           # inside backoff: engine skipped
-    assert router.has_pending()
-
-    clock[0] = 11.0                      # backoff elapsed: retried
-    assert router.step() == [second]
-    assert router.finish(second).ok
-    assert router.health_states() == {"m": "healthy"}
-
-
-def test_router_quarantine_reroutes_waiting_streams_to_fallback():
-    clock = [0.0]
-    policy = HealthPolicy(degraded_after=1, quarantine_after=1)
-    plan = FaultPlan([Fault(kind="forward", at=i) for i in range(64)])
-    router = make_routed({"bad": plan, "good": None}, clock, policy,
-                         fallbacks={"bad": "good"}, generative=True)
-    rng = np.random.default_rng(5)
-    prompts = [rng.integers(1, 40, size=4) for _ in range(3)]
-    ids = [router.open_stream(p, 4, model="bad") for p in prompts]
-
-    completed = router.step()            # slot 0 prefill faults ->
-    assert ids[0] in completed           # quarantine + reroute the rest
-    assert router.health_states()["bad"] == "quarantined"
-    with pytest.raises(InjectedKernelError):
-        router.finish(ids[0])
-
-    while router.has_pending():
-        router.step()
-    for stream_id, prompt in zip(ids[1:], prompts[1:]):
-        result = router.finish(stream_id)
-        assert result.ok and len(result.tokens) == len(prompt) + 4
-    # the rerouted streams really ran on the fallback engine
-    assert router.engines["good"].stats.completed == 2
-    assert router.engines["bad"].kv_slots_in_use() == 0
-
-    # new traffic for the quarantined model silently lands on the
-    # fallback too
-    rerouted = router.open_stream(prompts[0], 2, model="bad")
-    while router.has_pending():
-        router.step()
-    assert router.finish(rerouted).ok
-
-
-def test_router_quarantine_without_fallback_fails_fast():
-    clock = [0.0]
-    policy = HealthPolicy(degraded_after=1, quarantine_after=1)
-    plan = FaultPlan([Fault(kind="forward", at=i) for i in range(64)])
-    router = make_routed({"bad": plan}, clock, policy, generative=True)
-    ids = [router.open_stream(np.arange(1, 5), 4, model="bad")
-           for _ in range(3)]
-    completed = router.step()
-    # every stream terminated this step: the faulted one plus the
-    # waiting work failed fast on quarantine -- nothing stalls
-    assert sorted(completed) == sorted(ids)
-    assert not router.has_pending()
-    for stream_id in ids:
-        assert router.result(stream_id).reason == REASON_ERROR
-
-    # and new submissions fast-reject with a typed terminal error
-    rejected = router.submit(np.arange(3), model="bad")
-    assert rejected in router.step()
-    with pytest.raises(Exception, match="quarantined"):
-        router.finish(rejected)
-
-
-def test_router_half_open_probe_reinstates_engine():
-    clock = [0.0]
-    policy = HealthPolicy(degraded_after=1, quarantine_after=1,
-                          cooldown=5.0)
-    plan = FaultPlan([Fault(kind="forward", at=0)])
-    router = make_routed({"m": plan}, clock, policy, max_batch_size=4)
-    doomed = router.submit(np.arange(1, 4), model="m")
-    assert router.step() == [doomed]
-    assert router.health_states() == {"m": "quarantined"}
-
-    clock[0] = 6.0                       # cooldown elapsed: probe
-    router.step()
-    assert router.health_states() == {"m": "healthy"}
-    request_id = router.submit(np.arange(1, 4), model="m")
-    router.step()
-    assert router.finish(request_id).ok
 
 
 # ---------------------------------------------------------------------------
@@ -763,83 +619,3 @@ def test_sweep_cli_has_no_progress_flag(capsys):
                        "--suite", "memn2n"]) == 0
     out = capsys.readouterr().out
     assert "memn2n/Task-1" in out
-
-
-# ---------------------------------------------------------------------------
-# router front-door SLO admission
-# ---------------------------------------------------------------------------
-
-def test_router_admission_sheds_at_front_door():
-    """A router given an ``SLOAdmission`` gate sheds doomed requests
-    before they reach any engine queue: the caller gets a typed
-    ``shed_overload`` result instantly and the engine's backlog never
-    grows."""
-    from repro.obs import MetricsRegistry
-    from repro.serve import SLOAdmission
-
-    clock = [0.0]
-    engine = ServingEngine(
-        make_classifier_engine(0),
-        BatchPolicy(max_batch_size=4, max_wait=0.0),
-        clock=lambda: clock[0], name="cls")
-    registry = MetricsRegistry()
-    router = ModelRouter(
-        {"cls": engine}, clock=lambda: clock[0], registry=registry,
-        admission=SLOAdmission(ttft_target=1e-6, step_time=1.0))
-    rng = np.random.default_rng(0)
-    request_id = router.submit(rng.integers(0, 50, size=5))
-    assert engine.queue_depth() == 0       # never enqueued
-    assert router.step() == [request_id]
-    result = router.result(request_id)
-    assert result.reason == REASON_SHED
-    with pytest.raises(ShedOverload):
-        router.finish(request_id)
-    snap = registry.snapshot()
-    rows = snap["repro_router_admission_shed_total"]["series"]
-    assert sum(row["value"] for row in rows) == 1
-
-
-def test_router_admission_sheds_streams_on_tbt_target():
-    """A between-token target below the step time is unattainable for
-    any stream (decode emits one token per step), so streams shed
-    regardless of load while classify traffic still passes."""
-    from repro.serve import SLOAdmission
-
-    clock = [0.0]
-    engine = ServingEngine(
-        make_lm_engine(0),
-        BatchPolicy(max_batch_size=4, max_wait=0.0),
-        clock=lambda: clock[0], name="lm")
-    router = ModelRouter(
-        {"lm": engine}, clock=lambda: clock[0],
-        admission=SLOAdmission(tbt_target=1e-6, step_time=1.0))
-    stream = router.open_stream(np.arange(1, 5), max_new_tokens=4)
-    router.step()
-    assert router.result(stream).reason == REASON_SHED
-
-
-def test_router_permissive_admission_serves_normally():
-    """A loose SLO admits everything — results match a router with no
-    admission gate bit for bit."""
-    from repro.serve import SLOAdmission
-
-    def run(admission):
-        clock = [0.0]
-        engine = ServingEngine(
-            make_classifier_engine(0),
-            BatchPolicy(max_batch_size=4, max_wait=0.0),
-            clock=lambda: clock[0], name="cls")
-        router = ModelRouter({"cls": engine}, clock=lambda: clock[0],
-                             admission=admission)
-        rng = np.random.default_rng(7)
-        ids = [router.submit(rng.integers(0, 50, size=6))
-               for _ in range(5)]
-        router.drain()
-        return [router.finish(i) for i in ids]
-
-    gated = run(SLOAdmission(ttft_target=1e6, step_time=1e-9))
-    open_door = run(None)
-    for a, b in zip(gated, open_door):
-        assert a.reason == REASON_OK
-        assert a.prediction == b.prediction
-        np.testing.assert_array_equal(a.logits, b.logits)
