@@ -15,12 +15,12 @@ Shipped backends:
 
 ``numpy-packed``
     the default, and the fast path: each DPU cycle's plane group
-    sliced out of the sign-magnitude keys as one unscaled field
-    ``sign * ((|k| >> lo) & (2^n - 1))``, one fused GEMM over the
-    stacked fields, and an integer scan for the margin/termination
-    sweep that applies the exact ``2^lo`` weights.  The GEMMs run in
+    sliced out of the sign-magnitude keys as one field ``sign * (|k| &
+    ((2^n - 1) << lo))``, one fused GEMM over the stacked fields, and
+    an integer scan for the margin/termination sweep.  A group's
+    products share its power-of-two weight, so the GEMMs are exact in
     float32 while ``qmax * (2^group - 1) * D < 2^24`` (every serving
-    shape: |q| <= 2047, D = 64, 2 planes per cycle) and in float64
+    shape: |q| <= 2047, D = 64, 2 planes per cycle) and run in float64
     past it.  ≥2x the reference at paper-scale tiles (S=512-1280),
     pinned by ``benchmarks/test_kernel_micro.py``.
 ``numpy-ref``
@@ -33,16 +33,20 @@ Selection precedence: an explicit ``backend=`` argument
 ``TileConfig.kernel_backend``, then the ``REPRO_KERNEL_BACKEND``
 environment variable, then :data:`DEFAULT_BACKEND`.
 
-Beyond per-tile ``matrix`` calls, backends may implement a batched
-``matrix_many`` entry point taking a list of :class:`KernelJob` and
-returning one ``(cycles, pruned, scores)`` triple per job.  The
-serving regime issues many small tiles per step (one per
-stream/layer/head), and a fused implementation can amortize per-call
-pack/GEMM overhead across them; ``numpy-packed`` fuses all jobs
-sharing a head-dim into single GEMMs.  Backends without
-``matrix_many`` are driven through :func:`run_many`, which falls back
-to a per-job ``matrix`` loop — results are bit-identical either way,
-pinned by ``tests/test_fused.py``.
+The batched tier is what the tile simulator calls.  Backends may
+implement ``matrix_many(jobs, cache=None)``, taking a list of
+:class:`KernelJob` and returning one :class:`RowActivity` for the
+whole list: each job's per-query-row counts (valid scores, DPU lane
+cycles, survivors, pruned valid scores) and its key bit-planes, the
+only quantities the simulator reads.  A fused implementation
+reduces its own padded arrays to these counts instead of handing back
+per-job ``(cycles, pruned, scores)`` tiles; ``numpy-packed`` fuses
+every job sharing a head-dim and plane schedule into one banded GEMM
+and scan.  Backends without ``matrix_many`` are driven through
+:func:`run_many`, which falls back to :func:`matrix_many_loop`: the
+row activity of each job's ``matrix`` triple, reduced by
+:meth:`RowActivity.of_tile`.  That loop is the reference; results are
+bit-identical either way, pinned by ``tests/test_fused.py``.
 """
 
 from __future__ import annotations
@@ -99,38 +103,113 @@ class KernelBackend(Protocol):
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ...
 
-    # Optional batched tier.  Backends may omit this — run_many()
-    # falls back to a per-job matrix loop — but implementations must
-    # stay bit-identical to that loop for every job mix.
-    # def matrix_many(self, jobs, cache=None): ...
+    # Optional batched tier returning one RowActivity for the job
+    # list.  Backends may omit this — run_many() falls back to the
+    # per-job matrix loop — but implementations must stay
+    # bit-identical to that loop for every job mix.
+    # def matrix_many(self, jobs, cache=None) -> RowActivity: ...
 
 
-def matrix_many_loop(backend: KernelBackend, jobs, cache=None):
-    """Reference ``matrix_many``: a per-job ``matrix`` loop.
+@dataclass(frozen=True, eq=False)
+class RowActivity:
+    """Per-query-row activity of a list of score tiles, in the
+    terms the tile simulator charges.
+
+    ``rows[j]`` is job ``j``'s query-row count; the columns of
+    ``counts`` hold every job's rows back to back, in job order.
+    ``bits[j]`` is the number of key bit-planes job ``j`` consumed:
+    over its valid scores, ``min(cycles * group, magnitude_bits + 1)``.
+    """
+
+    rows: np.ndarray     # (jobs,) int64
+    counts: np.ndarray   # (4, sum(rows)) int64, see the properties
+    bits: np.ndarray     # (jobs,) int64
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Valid scores per row."""
+        return self.counts[0]
+
+    @property
+    def lane_cycles(self) -> np.ndarray:
+        """DPU cycles spent on the row's valid scores."""
+        return self.counts[1]
+
+    @property
+    def survivors(self) -> np.ndarray:
+        """Valid scores that reach the back end under runtime pruning:
+        not pruned, or equal to the row's maximum valid score (the
+        back end's running-max register always survives)."""
+        return self.counts[2]
+
+    @property
+    def pruned(self) -> np.ndarray:
+        """Valid scores pruned by the threshold."""
+        return self.counts[3]
+
+    @classmethod
+    def of_tile(cls, cycles, pruned, scores, valid, group: int,
+                bit_width: int) -> "RowActivity":
+        """Reduce one ``(cycles, pruned, scores)`` tile (the
+        :meth:`KernelBackend.matrix` contract; ``valid=None`` means
+        every score is valid) to its row activity.  ``bit_width`` caps
+        the planes a score consumes at ``group`` per cycle."""
+        scores = np.asarray(scores, dtype=np.float64)
+        valid = (np.ones(scores.shape, dtype=bool) if valid is None
+                 else np.asarray(valid, dtype=bool))
+        pruned_valid = pruned & valid
+        masked = np.where(valid, scores, -np.inf)
+        row_max = masked.max(axis=1, initial=-np.inf, keepdims=True)
+        surviving = valid & (~pruned_valid | (masked == row_max))
+        counts = np.stack([valid.sum(axis=1), cycles.sum(axis=1),
+                           surviving.sum(axis=1),
+                           pruned_valid.sum(axis=1)]).astype(np.int64)
+        bits = np.minimum(cycles * group, bit_width).sum()
+        return cls(np.array([scores.shape[0]], dtype=np.int64), counts,
+                   np.array([bits], dtype=np.int64))
+
+    @classmethod
+    def concat(cls, parts) -> "RowActivity":
+        """The jobs of ``parts``, in order, as one activity."""
+        parts = list(parts)
+        if not parts:
+            return cls(np.zeros(0, dtype=np.int64),
+                       np.zeros((4, 0), dtype=np.int64),
+                       np.zeros(0, dtype=np.int64))
+        return cls(np.concatenate([p.rows for p in parts]),
+                   np.concatenate([p.counts for p in parts], axis=1),
+                   np.concatenate([p.bits for p in parts]))
+
+
+def matrix_many_loop(backend: KernelBackend, jobs,
+                     cache=None) -> RowActivity:
+    """Reference ``matrix_many``: the row activity of each job's
+    ``matrix`` triple.
 
     Defines the semantics every fused implementation must reproduce
     bit-for-bit.  ``cache`` is accepted for signature compatibility;
     the loop path re-packs per call and ignores it.
     """
-    return [backend.matrix(job.q, job.k, job.threshold,
-                           job.magnitude_bits, job.group,
-                           valid=job.valid,
-                           margin_scale=job.margin_scale)
-            for job in jobs]
+    return RowActivity.concat(
+        RowActivity.of_tile(
+            *backend.matrix(job.q, job.k, job.threshold,
+                            job.magnitude_bits, job.group,
+                            valid=job.valid,
+                            margin_scale=job.margin_scale),
+            job.valid, job.group, job.magnitude_bits + 1)
+        for job in jobs)
 
 
-def run_many(backend: KernelBackend, jobs, cache=None):
-    """Evaluate a batch of :class:`KernelJob` on ``backend``.
+def run_many(backend: KernelBackend, jobs, cache=None) -> RowActivity:
+    """Row activity of a batch of :class:`KernelJob` on ``backend``.
 
     Dispatches to the backend's fused ``matrix_many`` when it has one,
     else to the per-job loop — callers get identical results either
     way and never need to feature-test the backend.
     """
     jobs = list(jobs)
-    if not jobs:
-        return []
     fused = getattr(backend, "matrix_many", None)
-    if fused is None:
+    if fused is None or not jobs:
         return matrix_many_loop(backend, jobs, cache=cache)
     return fused(jobs, cache=cache)
 
@@ -193,7 +272,7 @@ from . import numpy_packed    # noqa: E402,F401  (registers numpy-packed)
 
 from .packed_common import PlaneGroupCache  # noqa: E402
 
-__all__ = ["KernelBackend", "KernelJob", "PlaneGroupCache",
+__all__ = ["KernelBackend", "KernelJob", "PlaneGroupCache", "RowActivity",
            "register_backend", "unregister_backend",
            "get_backend", "list_backends", "resolve_backend_name",
            "run_many", "matrix_many_loop",

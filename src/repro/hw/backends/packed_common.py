@@ -13,18 +13,22 @@ concatenates; reuse is validated by exact key comparison (full prefix
 repacks.
 
 **Cross-job fused evaluation.**  :func:`fused_matrix_many` evaluates a
-whole batch of :class:`~repro.hw.backends.KernelJob` tiles through
-*one* batched GEMM per shape band instead of one GEMM per job.  Jobs
-are grouped by everything that must match for the plane schedule to be
-shared — head-dim, magnitude bits, plane-group width, margin scale —
-then banded by power-of-two (S_q, S_k) buckets and zero-padded to the
-band's actual maximum, which makes the batch block-diagonal: a single
-stacked ``(n, S_q, D) @ (n, D, rows)`` matmul does exactly the useful
-per-job products (padding waste is bounded by the pow2 bucketing,
-< 4x worst case and near zero on uniform serving mixes) rather than
-the n-fold cross-job waste a dense concatenated GEMM would pay.  The
-margin/termination scan then runs once over the whole padded band with
-a per-job threshold column, and per-job tiles are sliced back out.
+whole batch of :class:`~repro.hw.backends.KernelJob` tiles and returns
+their :class:`~repro.hw.backends.RowActivity`.  Jobs are grouped by
+everything that must match for the plane schedule to be shared —
+head-dim, magnitude bits, plane-group width, margin scale — then
+banded by power-of-two (S_q, S_k) buckets and zero-padded to the
+band's actual maximum, which makes each chunk of a band
+block-diagonal: one stacked ``(n, rows, D) @ (n, D, S_q)`` matmul
+(every job's plane stack against its transposed queries) does exactly
+the useful per-job products, key-major.  Padding waste is bounded by
+the pow2 bucketing, and is nil when a chunk's jobs share a shape, as a
+classify request's jobs do.  The margin/termination scan then runs
+over every cycle boundary of the padded chunk at once, and the chunk's
+rows are reduced in place to per-row counts with axis sums (padding
+counts as invalid), so no per-job score tile is ever sliced out.
+:func:`fused_matrix` runs the same path for one job and returns its
+``(cycles, pruned, scores)`` tile, the conformance API.
 
 Bit-identity is free by construction: every product and partial sum is
 an exact integer inside the float32 (< 2**24) / float64 / int32
@@ -33,22 +37,32 @@ rows, or switching scan dtype cannot change a single output bit
 relative to the per-job ``matrix`` loop.  ``tests/test_fused.py`` pins
 this on randomized mixed-shape job sets.
 
-**Unscaled plane groups.**  The packed stack holds each cycle's
-plane-group field ``sign * ((|k| >> lo) & (2^n - 1))`` *without* its
-``2^lo`` weight; the scan applies the weight when it copies a GEMM
-result into its lanes.  Scaling by a power of two is exact in every
-dtype involved, so this changes no result, but it shrinks the GEMM
-operands from scaled group values (at least ``2^(magnitude_bits - 1)``
-for the top group) to at most ``2^group - 1``: the float32 window is
-``qmax * (2^group - 1) * D < 2^24``.  At serving shapes
-(12-bit datapath, 2 planes per cycle, |q| <= 2047, D = 64) every GEMM
+**Plane groups and the float32 window.**  The packed stack holds each
+cycle's plane-group field ``sign * (|k| & ((2^n - 1) << lo))``.  All
+products of one group share the power-of-two factor ``2^lo``, which
+only shifts the floating-point exponent, so a group's dot products are
+exact whenever the unscaled ones are: the float32 window is
+``qmax * (2^group - 1) * D < 2^24``.  At serving shapes (12-bit
+datapath, 2 planes per cycle, |q| <= 2047, D = 64) every GEMM
 therefore runs in float32 (Ozaki et al., "Error-free transformations
 of matrix multiplication", Numer. Algorithms 2012: slice the operands
-until every floating-point product is exact).
+until every floating-point product is exact), and each GEMM result is
+already the group's weighted contribution to the score.
+
+**The scan.**  With ``margin_scale == 1`` and every quantity inside
+int32 the scan runs on integers, and the margin bound ``partial +
+positive * (2^rem - 1)`` never rises from one cycle boundary to the
+next and never falls below the final score.  A score's count of
+boundaries below the threshold is then its count of boundaries since
+termination, and a terminated score is always pruned, so the scan is
+one compare per boundary.  Anything else (scaled margins, huge
+queries or thresholds) takes a float64 scan that accumulates the
+terminated flags in the reference's operation order.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
@@ -56,6 +70,7 @@ from typing import Any
 import numpy as np
 
 from ..bitserial import _plane_schedule
+from . import RowActivity
 
 # float32 keeps integers exact below 2^24; int32 is safe while
 # |partial| + |margin| stays below 2^31 (we require < 2^30 each)
@@ -69,13 +84,12 @@ _I32_SAFE = 1 << 30
 _MAX_CHUNK_MACS = 1 << 27
 _MAX_CHUNK_ELEMENTS = 1 << 24
 
-def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b^T over the last two axes, for stacked (n, M, D) x
-    (n, R, D) -> (n, M, R) operands."""
-    return np.matmul(a, b.swapaxes(-1, -2))
+def _gemm(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Stacked (n, M, D) x (n, D, R) -> (n, M, R) products."""
+    return np.matmul(a, b, out=out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneSpec:
     """Derived plane-schedule constants for a (magnitude_bits, group)
     pair — everything the packed kernels need besides the data."""
@@ -89,6 +103,13 @@ class PlaneSpec:
     full_cycles: int
     # largest unscaled plane-group field, 2^n - 1 over the cycles
     field_max: int
+    # (n_groups, 1, 1): each plane group's magnitude bits, (2^n - 1) << lo
+    field_masks: np.ndarray
+    # the scan's cycle boundaries (every cycle but the last): the plane
+    # groups summed by the first boundary (one more by each later one)
+    # and, (boundaries, 1, 1, 1), each boundary's margin factor 2^rem - 1
+    boundary_groups: int
+    boundary_factors: np.ndarray
 
     @property
     def n_groups(self) -> int:
@@ -110,8 +131,22 @@ def plane_spec(magnitude_bits: int, group: int) -> PlaneSpec:
             cycle_groups.append((len(planes), planes[-1] if planes else 0))
         mag_groups = tuple((n, lo) for n, lo in cycle_groups if n)
         field_max = max(((1 << n) - 1 for n, _ in mag_groups), default=0)
-        spec = PlaneSpec(magnitude_bits, group, tuple(cycle_groups),
-                         mag_groups, len(schedule), field_max)
+        # only the first cycle can lack magnitude planes (the sign
+        # plane alone, at group 1), so boundary b has summed
+        # boundary_groups + b groups
+        first = cycle_groups[0][0] > 0
+        remaining = magnitude_bits - sum(n for n, _ in cycle_groups[:1])
+        margins = []
+        for n, _ in cycle_groups[1:]:
+            margins.append((1 << remaining) - 1)
+            remaining -= n
+        spec = PlaneSpec(
+            magnitude_bits, group, tuple(cycle_groups), mag_groups,
+            len(schedule), field_max,
+            np.array([((1 << n) - 1) << lo for n, lo in mag_groups],
+                     dtype=np.int64).reshape(-1, 1, 1),
+            int(first),
+            np.array(margins, dtype=np.int64).reshape(-1, 1, 1, 1))
         _SPECS[key] = spec
     return spec
 
@@ -119,26 +154,25 @@ def plane_spec(magnitude_bits: int, group: int) -> PlaneSpec:
 def pack_planes(k: np.ndarray, spec: PlaneSpec) -> np.ndarray:
     """Pack a key matrix into its plane-group stack.
 
-    Returns ``(n_groups + 1, s_k, dim)``: one per-cycle plane-group
-    field matrix ``sign * ((|k| >> lo) & (2^n - 1))`` per magnitude
-    cycle, unscaled (the scan applies ``2^lo``), the sign plane last.
-    Stored in float32 whenever the fields fit its exact-integer window
-    (always, for groups narrower than 24 planes) so cached stacks feed
-    float32 GEMMs without conversion; the float64 upcast for huge-query
-    chunks is exact either way.
+    Returns ``(n_groups + 1, s_k, dim)``: the sign plane first, then
+    one per-cycle plane-group field matrix ``sign * (|k| & ((2^n - 1)
+    << lo))`` per magnitude cycle.  Stored in float32 whenever the
+    unscaled fields fit its exact-integer window (always, for groups
+    narrower than 24 planes) so cached stacks feed float32 GEMMs
+    without conversion; the float64 upcast for huge-query chunks is
+    exact either way.
     """
     k = np.asarray(k, dtype=np.int64)
     signs = np.sign(k)
-    # masking to magnitude_bits matches the reference, which only ever
-    # reads the magnitude_bits planes of an out-of-range key
-    magnitudes = np.abs(k) & ((np.int64(1) << spec.magnitude_bits) - 1)
+    # the field masks only cover magnitude_bits planes, like the
+    # reference, which never reads higher planes of an out-of-range key
+    magnitudes = np.abs(k)
     dtype = np.float32 if spec.field_max < _F32_EXACT else np.float64
     s_k, dim = k.shape
     stacked = np.empty((spec.n_groups + 1, s_k, dim), dtype=dtype)
-    for index, (n, lo) in enumerate(spec.mag_groups):
-        field = (magnitudes >> lo) & ((np.int64(1) << n) - 1)
-        np.multiply(signs, field, out=stacked[index], casting="unsafe")
-    stacked[spec.n_groups] = signs
+    stacked[0] = signs
+    np.multiply(signs, magnitudes & spec.field_masks, out=stacked[1:],
+                casting="unsafe")
     return stacked
 
 
@@ -230,41 +264,46 @@ class _Prepared:
     job: Any
     q: np.ndarray
     k: np.ndarray
-    qmax: int
+    valid: np.ndarray | None
 
 
-def _empty_result(job, s_q: int, s_k: int):
-    cycles = np.zeros((s_q, s_k), dtype=np.int64)
-    pruned = np.zeros((s_q, s_k), dtype=bool)
-    scores = np.zeros((s_q, s_k), dtype=np.float64)
-    if job.valid is not None:
-        cycles = np.where(job.valid, cycles, 0)
-    return cycles, pruned, scores
+@dataclass
+class _Chunk:
+    """One padded slab of a shape band after its GEMMs and scan.  The
+    arrays are key-major, ``(n, s_k_pad, s_q_pad)``: a query row is a
+    column."""
+
+    preps: list[_Prepared]
+    padded: bool             # some job is smaller than the slab
+    valid: np.ndarray | None  # bool, padding False; None: all valid
+    score: np.ndarray        # exact scores
+    terminated: np.ndarray   # int8, see _scan
+    pruned: np.ndarray       # bool
 
 
-def fused_matrix_many(jobs, cache: PlaneGroupCache | None = None) -> list:
-    """Evaluate a batch of kernel jobs via banded block-diagonal GEMMs.
+def _integers(values) -> np.ndarray:
+    """``values`` as a signed-integer array, copied only when not one
+    already."""
+    values = np.asarray(values)
+    return values if values.dtype.kind == "i" else values.astype(np.int64)
 
-    Returns one ``(cycles, pruned, scores)`` triple per job, in input
-    order, bit-identical to calling the packed ``matrix`` per job.
+
+def _evaluate(jobs, cache: PlaneGroupCache | None):
+    """Yield ``(spec, chunk)`` for every padded chunk of ``jobs``.
+
+    Jobs without queries or keys have no score and are skipped.
     """
-    jobs = list(jobs)
-    results: list = [None] * len(jobs)
-
-    # group by everything the plane schedule and scan must share
     groups: dict[tuple, list[_Prepared]] = {}
     for index, job in enumerate(jobs):
-        q = np.asarray(job.q, dtype=np.int64)
-        k = np.asarray(job.k, dtype=np.int64)
-        s_q, s_k = q.shape[0], k.shape[0]
-        if s_q == 0 or s_k == 0:
-            results[index] = _empty_result(job, s_q, s_k)
+        q, k = _integers(job.q), _integers(job.k)
+        if q.shape[0] == 0 or k.shape[0] == 0:
             continue
-        prep = _Prepared(index, job, q, k,
-                         int(np.abs(q).max()) if q.size else 0)
         gkey = (q.shape[1], job.magnitude_bits, job.group,
                 float(job.margin_scale))
-        groups.setdefault(gkey, []).append(prep)
+        valid = (None if job.valid is None
+                 else np.asarray(job.valid, dtype=bool))
+        groups.setdefault(gkey, []).append(
+            _Prepared(index, job, q, k, valid))
 
     for (dim, magnitude_bits, group, margin_scale), preps in \
             groups.items():
@@ -277,7 +316,6 @@ def fused_matrix_many(jobs, cache: PlaneGroupCache | None = None) -> list:
             bkey = (1 << (prep.q.shape[0] - 1).bit_length(),
                     1 << (prep.k.shape[0] - 1).bit_length())
             bands.setdefault(bkey, []).append(prep)
-        staged: list[_StagedChunk] = []
         for bkey in sorted(bands, key=lambda b: (b[1], b[0])):
             band = bands[bkey]
             s_q_pad = max(p.q.shape[0] for p in band)
@@ -288,14 +326,40 @@ def fused_matrix_many(jobs, cache: PlaneGroupCache | None = None) -> list:
             per_chunk = max(1, min(_MAX_CHUNK_MACS // max(macs, 1),
                                    _MAX_CHUNK_ELEMENTS // elements))
             for start in range(0, len(band), per_chunk):
-                staged.append(_stage_chunk(
-                    band[start:start + per_chunk], spec, dim,
-                    s_q_pad, s_k_pad, cache))
-        # one margin/termination scan over every chunk's concatenated
-        # (padded) score lanes — the scan cost no longer multiplies
-        # with the number of shape bands
-        _scan_group(staged, spec, margin_scale, results)
-    return results
+                yield spec, _scan(band[start:start + per_chunk], spec,
+                                  dim, s_q_pad, s_k_pad, margin_scale,
+                                  cache)
+
+
+def fused_matrix_many(jobs, cache: PlaneGroupCache | None = None
+                      ) -> RowActivity:
+    """Row activity of a batch of kernel jobs, via banded
+    block-diagonal GEMMs; bit-identical to the per-job ``matrix``
+    loop (:func:`repro.hw.backends.matrix_many_loop`)."""
+    jobs = list(jobs)
+    rows = np.array([np.shape(job.q)[0] for job in jobs], dtype=np.int64)
+    offsets = np.cumsum(rows) - rows
+    counts = np.zeros((4, int(rows.sum())), dtype=np.int64)
+    bits = np.zeros(len(jobs), dtype=np.int64)
+    for spec, chunk in _evaluate(jobs, cache):
+        _reduce_rows(chunk, spec, offsets, counts, bits)
+    return RowActivity(rows, counts, bits)
+
+
+def fused_matrix(job) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One job's ``(cycles, pruned, scores)`` tile (the
+    :meth:`~repro.hw.backends.KernelBackend.matrix` contract)."""
+    s_q, s_k = np.shape(job.q)[0], np.shape(job.k)[0]
+    for spec, chunk in _evaluate([job], None):
+        cycles = (spec.full_cycles
+                  - chunk.terminated[0].T).astype(np.int64)
+        if job.valid is not None:
+            cycles = np.where(job.valid, cycles, 0)
+        return (cycles, chunk.pruned[0].T.copy(),
+                chunk.score[0].T.astype(np.float64))
+    return (np.zeros((s_q, s_k), dtype=np.int64),
+            np.zeros((s_q, s_k), dtype=bool),
+            np.zeros((s_q, s_k), dtype=np.float64))
 
 
 def _job_planes(prep: _Prepared, spec: PlaneSpec,
@@ -306,197 +370,216 @@ def _job_planes(prep: _Prepared, spec: PlaneSpec,
     return pack_planes(prep.k, spec)
 
 
-@dataclass
-class _StagedChunk:
-    preps: list[_Prepared]
-    s_q_pad: int
-    s_k_pad: int
-    fused: np.ndarray       # (n, s_q_pad, n_groups + 1, s_k_pad)
-    positive: np.ndarray    # (n, s_q_pad, s_k_pad), gemm dtype
-    thresholds: np.ndarray  # (n,), float64
-    qmax: int
+def _pad_stack(shape: tuple, dtype, parts, padded: bool) -> np.ndarray:
+    """The 2-D ``parts`` stacked into a ``shape`` array of ``dtype``,
+    each zero-padded to its slab when ``padded``."""
+    if not padded:
+        return np.stack(parts, out=np.empty(shape, dtype=dtype))
+    out = np.zeros(shape, dtype=dtype)
+    for slab, part in zip(out, parts):
+        slab[:part.shape[0], :part.shape[1]] = part
+    return out
 
 
-def _stage_chunk(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
-                 s_q_pad: int, s_k_pad: int,
-                 cache: PlaneGroupCache | None) -> _StagedChunk:
+def _stage(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
+           s_q_pad: int, s_k_pad: int, padded: bool,
+           cache: PlaneGroupCache | None):
+    """Pad a chunk's queries, keys and valid masks and run its GEMMs.
+
+    Returns ``(fused, positive, valid, qmax)``: the plane-group
+    products ``(n, n_groups + 1, s_k_pad, s_q_pad)`` (the sign plane
+    first), the margin base ``(n, s_k_pad, s_q_pad)``, both in the
+    GEMM dtype, and the padded valid mask ``(n, s_k_pad, s_q_pad)``,
+    or None when every score of the chunk is valid.
+    """
     n = len(chunk)
     n_groups = spec.n_groups
-    rows_pad = (n_groups + 1) * s_k_pad
-    qmax = max(p.qmax for p in chunk)
-    # max(..., 2) also covers the |q|@|s| + q@s sum inside `positive`
-    f32_ok = qmax * max(spec.field_max, 2) * max(dim, 1) < _F32_EXACT
-    gemm_dtype = np.float32 if f32_ok else np.float64
-
-    use_cache = cache is not None and any(
-        getattr(p.job, "pack_key", None) is not None for p in chunk)
-    if n == 1 and chunk[0].q.shape[0] == s_q_pad \
-            and chunk[0].k.shape[0] == s_k_pad:
-        # solo fast path: no padding, the plane stack feeds the GEMM
-        # as a reshape view instead of a copy
-        stacked = _job_planes(chunk[0], spec, cache)
-        if stacked.dtype != gemm_dtype:
-            stacked = stacked.astype(gemm_dtype)
-        q_stack = chunk[0].q.astype(gemm_dtype)[None]
-        plane_stack = stacked.reshape(1, rows_pad, dim)
-        abs_sign_stack = np.abs(stacked[n_groups])[None]
-    elif use_cache:
-        # cached path: per-job plane stacks come from the pack-once
-        # cache (exact hit or suffix extension) and are copied into
-        # the padded band
-        q_stack = np.zeros((n, s_q_pad, dim), dtype=gemm_dtype)
-        plane_stack = np.zeros((n, rows_pad, dim), dtype=gemm_dtype)
-        abs_sign_stack = np.zeros((n, s_k_pad, dim), dtype=gemm_dtype)
-        for i, prep in enumerate(chunk):
-            s_q, s_k = prep.q.shape[0], prep.k.shape[0]
-            stacked = _job_planes(prep, spec, cache)
-            q_stack[i, :s_q] = prep.q
-            view = plane_stack[i].reshape(n_groups + 1, s_k_pad, dim)
-            view[:, :s_k] = stacked
-            abs_sign_stack[i, :s_k] = np.abs(stacked[n_groups])
+    masks = {id(p.valid): p.valid for p in chunk if p.valid is not None}
+    if not padded and all(mask.all() for mask in masks.values()):
+        valid = None
+    elif not masks:
+        # only the padding is invalid
+        s_q = np.array([p.q.shape[0] for p in chunk])[:, None, None]
+        s_k = np.array([p.k.shape[0] for p in chunk])[:, None, None]
+        valid = ((np.arange(s_k_pad)[:, None] < s_k)
+                 & (np.arange(s_q_pad) < s_q))
     else:
-        # cacheless path: pack the whole padded band in one set of
-        # vectorized plane extractions instead of per-job passes
-        # (zero-padded K rows pack to all-zero planes, so padding
-        # falls out of the same ops)
-        # int32 staging halves pack bandwidth, but only while the
-        # downcast can't clip sign or masked magnitude bits
-        kmax = max(max(int(p.k.max()), -int(p.k.min()))
-                   if p.k.size else 0 for p in chunk)
-        key_dtype = (np.int32 if spec.magnitude_bits <= 24
-                     and kmax < _I32_SAFE else np.int64)
-        q_stack = np.zeros((n, s_q_pad, dim), dtype=gemm_dtype)
-        k_stack = np.zeros((n, s_k_pad, dim), dtype=key_dtype)
-        for i, prep in enumerate(chunk):
-            q_stack[i, :prep.q.shape[0]] = prep.q
-            k_stack[i, :prep.k.shape[0]] = prep.k
-        signs = np.sign(k_stack)
-        magnitudes = np.abs(k_stack)
-        np.bitwise_and(magnitudes,
-                       key_dtype((1 << spec.magnitude_bits) - 1),
-                       out=magnitudes)
-        plane_stack = np.empty((n, rows_pad, dim), dtype=gemm_dtype)
-        view = plane_stack.reshape(n, n_groups + 1, s_k_pad, dim)
-        field = np.empty_like(magnitudes)
-        for idx, (n_planes, lo) in enumerate(spec.mag_groups):
-            np.right_shift(magnitudes, lo, out=field)
-            np.bitwise_and(field, key_dtype((1 << n_planes) - 1),
-                           out=field)
-            np.multiply(field, signs, out=view[:, idx], casting="unsafe")
-        view[:, n_groups] = signs
-        abs_sign_stack = np.abs(signs).astype(gemm_dtype)
+        valid = _pad_stack(
+            (n, s_k_pad, s_q_pad), bool,
+            [np.broadcast_to(True, (p.k.shape[0], p.q.shape[0]))
+             if p.valid is None else p.valid.T for p in chunk],
+            padded)
+    # the GEMM's right operand, the queries transposed: staged in
+    # float32, which keeps every integer below 2^24 and rounds larger
+    # ones to at least 2^24, so the peak below still sees them
+    queries = [p.q.T for p in chunk]
+    q_stack = _pad_stack((n, dim, s_q_pad), np.float32, queries, padded)
+    abs_q = np.abs(q_stack)
+    qmax = int(abs_q.max())
+    # max(..., 2) also covers the |s| @ |q| + s @ q sum in `positive`
+    if qmax * max(spec.field_max, 2) * max(dim, 1) >= _F32_EXACT:
+        q_stack = _pad_stack(q_stack.shape, np.float64, queries, padded)
+        abs_q = np.abs(q_stack)
 
-    big = _gemm(q_stack, plane_stack)
-    abs_big = _gemm(np.abs(q_stack), abs_sign_stack)
-    fused = big.reshape(n, s_q_pad, n_groups + 1, s_k_pad)
+    # the left operand: every job's plane stack, contiguous
+    shape = (n, n_groups + 1, s_k_pad, dim)
+    if cache is not None and any(
+            getattr(p.job, "pack_key", None) is not None for p in chunk):
+        # per-job plane stacks from the pack-once cache (exact hit or
+        # suffix extension), copied into the padded band
+        planes = _pad_stack(
+            (n, n_groups + 1, s_k_pad * dim), q_stack.dtype,
+            [_job_planes(p, spec, cache).reshape(n_groups + 1, -1)
+             for p in chunk], padded).reshape(shape)
+    else:
+        # pack the whole padded band in one set of vectorised plane
+        # extractions (zero-padded K rows pack to all-zero planes),
+        # in int16 whenever every key's magnitude and mask fits
+        keys = _pad_stack((n, s_k_pad, dim),
+                          np.result_type(*(p.k.dtype for p in chunk)),
+                          [p.k for p in chunk], padded)
+        kmax = max(-int(keys.min()), int(keys.max()),
+                   1 << spec.magnitude_bits)
+        keys = keys.astype(np.int16 if kmax < 1 << 15 else np.int64,
+                           copy=False)
+        # the sign plane, then each cycle's field sign * (|k| & mask)
+        planes = np.empty(shape, dtype=q_stack.dtype)
+        signs = np.sign(keys)
+        planes[:, 0] = signs
+        fields = np.bitwise_and(np.abs(keys, out=keys)[:, None],
+                                spec.field_masks.astype(keys.dtype))
+        np.multiply(fields, signs[:, None], out=planes[:, 1:],
+                    casting="unsafe")
 
+    fused = _gemm(planes.reshape(n, (n_groups + 1) * s_k_pad, dim),
+                  q_stack).reshape(n, n_groups + 1, s_k_pad, s_q_pad)
     # margin base: sum of q*sign over dims where the product can push
-    # the score up = (|q| @ |s|^T + q @ s^T) / 2, all integer-exact
-    positive = (abs_big + fused[:, :, n_groups]) * 0.5
+    # the score up = (|s| @ |q| + s @ q) / 2, all integer-exact
+    positive = _gemm(np.abs(planes[:, 0]), abs_q)
+    np.add(positive, fused[:, 0], out=positive)
+    np.multiply(positive, 0.5, out=positive)
+    return fused, positive, valid, qmax
 
-    thresholds = np.array([float(p.job.threshold) for p in chunk])
-    return _StagedChunk(chunk, s_q_pad, s_k_pad, fused, positive,
-                        thresholds, qmax)
+
+def _buffer_like(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """An array of ``values``' shape in ``dtype`` to convert ``values``
+    into: ``values`` itself, viewed, when the element sizes match (a
+    converted element then only overwrites itself)."""
+    if values.itemsize == dtype.itemsize:
+        return values.view(dtype)
+    return np.empty(values.shape, dtype=dtype)
 
 
-def _scan_group(staged: list[_StagedChunk], spec: PlaneSpec,
-                margin_scale: float, results: list) -> None:
+def _scan(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
+          s_q_pad: int, s_k_pad: int, margin_scale: float,
+          cache: PlaneGroupCache | None) -> _Chunk:
+    """The margin/termination scan over one padded chunk, every DPU
+    cycle boundary at once.
+
+    ``terminated`` counts the boundaries by which a score had
+    terminated, so its cycle count is ``full_cycles - terminated``.
+    """
+    padded = any(p.q.shape[0] < s_q_pad or p.k.shape[0] < s_k_pad
+                 for p in chunk)
+    fused, positive, valid, qmax = _stage(chunk, spec, dim, s_q_pad,
+                                          s_k_pad, padded, cache)
     n_groups = spec.n_groups
-    qmax = max(st.qmax for st in staged)
-    dim = staged[0].preps[0].q.shape[1]
+    thresholds = [float(p.job.threshold) for p in chunk]
     margin_bound = (qmax * max(dim, 1)
                     * max((1 << spec.magnitude_bits) - 1, 1))
-    int_scan = (margin_scale == 1.0 and margin_bound < _I32_SAFE)
+    int_scan = (margin_scale == 1.0 and margin_bound < _I32_SAFE
+                and all(abs(t) < _I32_SAFE for t in thresholds))
     if int_scan:
-        for st in staged:
-            if not (np.isfinite(st.thresholds).all()
-                    and (np.abs(st.thresholds) < _I32_SAFE).all()):
-                int_scan = False
-                break
-    if int_scan:
-        scan_dtype = np.int32
+        scan_dtype = np.dtype(np.int32)
+        # lhs is an exact integer, so lhs < th  <=>  lhs < ceil(th)
+        thresholds = [math.ceil(t) for t in thresholds]
     else:
-        scan_dtype = np.float64
+        scan_dtype = np.dtype(np.float64)
+    th = np.array(thresholds, dtype=scan_dtype)[:, None, None]
 
-    # concatenate every chunk's (padded) score lanes into flat scan
-    # arrays: one fused scale-and-cast copy per plane row per chunk
-    # (the 2^lo plane weight is exact in the GEMM dtype: it only
-    # shifts the exponent), then a single scan regardless of how many
-    # shape bands the group split into
-    total = sum(len(st.preps) * st.s_q_pad * st.s_k_pad
-                for st in staged)
-    plane_flat = np.empty((n_groups, total), dtype=scan_dtype)
-    positive_flat = np.empty(total, dtype=scan_dtype)
-    th_flat = np.empty(total, dtype=scan_dtype)
-    offset = 0
-    for st in staged:
-        n, sqp, skp = len(st.preps), st.s_q_pad, st.s_k_pad
-        pairs = n * sqp * skp
-        shape = (n, sqp, skp)
-        weight = st.fused.dtype.type
-        for g, (_, lo) in enumerate(spec.mag_groups):
-            np.multiply(st.fused[:, :, g, :], weight(1 << lo),
-                        out=plane_flat[g, offset:offset + pairs]
-                        .reshape(shape), casting="unsafe")
-        np.copyto(positive_flat[offset:offset + pairs].reshape(shape),
-                  st.positive, casting="unsafe")
-        if int_scan:
-            # lhs is an exact integer, so lhs < th  <=>  lhs < ceil(th)
-            th_scan = np.ceil(st.thresholds).astype(np.int32)
-        else:
-            th_scan = st.thresholds
-        np.copyto(th_flat[offset:offset + pairs].reshape(shape),
-                  th_scan[:, None, None], casting="unsafe")
-        offset += pairs
+    # partial[:, g]: the score after g plane groups (the sign plane's
+    # slot holds the empty sum)
+    partial = _buffer_like(fused, scan_dtype)
+    np.copyto(partial[:, 1:], fused[:, 1:], casting="unsafe")
+    partial[:, 0] = 0
+    for g in range(2, n_groups + 1):
+        np.add(partial[:, g], partial[:, g - 1], out=partial[:, g])
+    score = partial[:, n_groups]
+    pruned = score < th
 
-    partial = np.zeros(total, dtype=scan_dtype)
-    margin_buf = np.empty(total, dtype=scan_dtype)
-    below = np.empty(total, dtype=bool)
-    terminated = np.zeros(total, dtype=bool)
-    terminated_cycles = np.zeros(total, dtype=np.int8)
-    remaining = spec.magnitude_bits
-    cursor = 0
-    for cycle_index, (n_planes, _) in enumerate(spec.cycle_groups,
-                                                start=1):
-        if n_planes:
-            np.add(partial, plane_flat[cursor], out=partial)
-            cursor += 1
-            remaining -= n_planes
-        if cycle_index == spec.full_cycles:
-            break
-        np.multiply(positive_flat, (1 << remaining) - 1,
-                    out=margin_buf)
-        if margin_scale != 1.0:
-            np.multiply(margin_buf, margin_scale, out=margin_buf)
-        np.add(margin_buf, partial, out=margin_buf)
-        np.less(margin_buf, th_flat, out=below)
-        np.logical_or(terminated, below, out=terminated)
-        # a score terminated by cycle c contributes 1 for every later
-        # boundary, so cycles = full - sum(terminated-by) recovers the
-        # first-termination cycle (and full for survivors)
-        np.add(terminated_cycles, terminated, out=terminated_cycles,
-               casting="unsafe")
+    first, bounds = spec.boundary_groups, len(spec.boundary_factors)
+    if not bounds:
+        terminated = np.zeros(score.shape, dtype=np.int8)
+        return _Chunk(chunk, padded, valid, score, terminated, pruned)
+    # partial sum + margin at every cycle boundary
+    base = _buffer_like(positive, scan_dtype)
+    np.copyto(base, positive, casting="unsafe")
+    margins = np.multiply(base, spec.boundary_factors, dtype=scan_dtype)
+    if margin_scale != 1.0:
+        np.multiply(margins, margin_scale, out=margins)
+    np.add(margins, partial[:, first:first + bounds].swapaxes(0, 1),
+           out=margins)
+    below = margins < th
+    if not int_scan:
+        # a score stays terminated once below
+        np.logical_or.accumulate(below, out=below)
+        pruned |= below[-1]
+    # with exact integers and an unscaled margin the bound never rises
+    # from one boundary to the next and never falls below the final
+    # score, so `below` is already cumulative and implies score < th
+    terminated = np.add.reduce(below.view(np.int8), dtype=np.int8)
+    return _Chunk(chunk, padded, valid, score, terminated, pruned)
 
-    offset = 0
-    for st in staged:
-        sqp, skp = st.s_q_pad, st.s_k_pad
-        for i, prep in enumerate(st.preps):
-            s_q, s_k = prep.q.shape[0], prep.k.shape[0]
-            threshold = float(prep.job.threshold)
-            base = offset + i * sqp * skp
-            tile = slice(base, base + sqp * skp)
-            scores = (partial[tile].reshape(sqp, skp)[:s_q, :s_k]
-                      .astype(np.float64))
-            cycles = (spec.full_cycles
-                      - terminated_cycles[tile].reshape(sqp, skp)
-                      [:s_q, :s_k]).astype(np.int64)
-            pruned = (terminated[tile].reshape(sqp, skp)[:s_q, :s_k]
-                      | (scores < threshold))
-            if prep.job.valid is not None:
-                cycles = np.where(prep.job.valid, cycles, 0)
-            results[prep.index] = (cycles, pruned, scores)
-        offset += len(st.preps) * sqp * skp
+
+def _key_sums(values: np.ndarray) -> np.ndarray:
+    """Per-row totals of a key-major bool or small-int array."""
+    return np.add.reduce(values.view(np.uint8), axis=1, dtype=np.int32)
+
+
+def _reduce_rows(chunk: _Chunk, spec: PlaneSpec, offsets: np.ndarray,
+                 counts: np.ndarray, bits: np.ndarray) -> None:
+    """Write a chunk's per-row activity into the rows of its jobs in
+    ``counts`` (the layout of :class:`RowActivity`) and its jobs' bit
+    totals into ``bits``; padding counts as invalid."""
+    valid, score = chunk.valid, chunk.score
+    terminated, pruned = chunk.terminated, chunk.pruned
+    n, s_k_pad, s_q_pad = score.shape
+    if valid is None:
+        valid_rows = np.full((n, s_q_pad), s_k_pad, dtype=np.int32)
+    else:
+        valid_rows = _key_sums(valid)
+        np.multiply(terminated, valid, out=terminated)
+        np.logical_and(pruned, valid, out=pruned)
+        low = (-np.inf if score.dtype.kind == "f"
+               else np.iinfo(score.dtype).min)
+        score = np.where(valid, score, low)
+    lane_cycles = spec.full_cycles * valid_rows - _key_sums(terminated)
+    # every pruned valid score but the row's maximum leaves the row
+    lost = score < score.max(axis=1, keepdims=True)
+    np.logical_and(lost, pruned, out=lost)
+    rows = np.stack([valid_rows, lane_cycles,
+                     valid_rows - _key_sums(lost), _key_sums(pruned)])
+
+    index = np.array([p.index for p in chunk.preps])
+    job_bits = spec.group * lane_cycles.sum(axis=1, dtype=np.int64)
+    # a full schedule's last cycle may carry fewer planes than group
+    excess = spec.full_cycles * spec.group - (spec.magnitude_bits + 1)
+    if excess:
+        full = terminated == 0
+        if valid is not None:
+            full &= valid
+        job_bits -= excess * full.sum(axis=(1, 2))
+    bits[index] = job_bits
+    start = offsets[index[0]]
+    if not chunk.padded and index[-1] - index[0] == n - 1:
+        # consecutive jobs filling the slab: their rows are contiguous
+        counts[:, start:start + n * s_q_pad] = rows.reshape(4, -1)
+        return
+    s_q = np.array([p.q.shape[0] for p in chunk.preps])
+    keep = np.arange(s_q_pad) < s_q[:, None]
+    target = (offsets[index][:, None] + np.arange(s_q_pad))[keep]
+    counts[:, target] = rows.reshape(4, -1)[:, keep.ravel()]
 
 
 __all__ = ["PlaneSpec", "plane_spec", "pack_planes", "PlaneGroupCache",
-           "fused_matrix_many"]
+           "fused_matrix", "fused_matrix_many"]

@@ -1,13 +1,17 @@
 """Cycle-level tile simulator (paper §4): N_QK bit-serial front-end
 DPUs feeding a softmax + xV back-end (V-PU).
 
-The simulator is fully array-based: one batched kernel call evaluates
-every job of a run, then rows are scheduled across DPU lanes and the
-V-PU with whole-array reductions over the run's flattened scores — no
-per-score or per-job scheduling pass in Python.  A tile with neither
-early termination nor runtime pruning (the baseline) needs no kernel
-at all: its activity follows in closed form from each row's count of
-valid keys.
+The simulator schedules query rows, not scores: one batched kernel
+call (``run_many``) returns every job's row activity
+(:class:`~repro.hw.backends.RowActivity`: per query row the valid
+scores, DPU lane cycles, survivors and pruned scores, per job the key
+bit-planes consumed), and rows are then scheduled across DPU lanes and
+the V-PU with a few whole-array operations, with no per-score or
+per-job pass in Python.  Without early termination (runtime pruning alone)
+each job's exact scores and full schedules are reduced to the same row
+activity.  A tile with neither early termination nor runtime pruning
+(the baseline) needs no kernel at all: its activity follows in closed
+form from each row's count of valid keys.
 """
 
 from __future__ import annotations
@@ -16,14 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import KernelJob, PlaneGroupCache, get_backend, run_many
+from .backends import (KernelJob, PlaneGroupCache, RowActivity,
+                       get_backend, run_many)
 from .bitserial import serial_cycle_count
 from .config import TileConfig
 from .workload import HeadJob
-
-# scores flattened per activity pass: bounds the run-wide temporaries
-# of a long job list (about 50 bytes a score) to about 50 MB
-_ACTIVITY_CHUNK = 1 << 20
 
 
 @dataclass
@@ -109,13 +110,12 @@ class TileSimulator:
         self.profiler = profiler
 
     # -- batched kernel dispatch ----------------------------------------
-    def _kernel_many(self, jobs: list[HeadJob], quants: list):
-        """One ``run_many`` call over every early-termination kernel
-        job in the list — fused backends amortize pack/GEMM overhead
-        across the whole step."""
+    def _kernel_many(self, jobs: list[HeadJob], quants: list
+                     ) -> RowActivity:
+        """One ``run_many`` call over every job in the list — fused
+        backends amortize pack/GEMM overhead across the whole step and
+        hand back row activity, not score tiles."""
         config = self.config
-        if not config.early_termination:
-            return [None] * len(jobs)
         kernel_jobs = [
             KernelJob(q=q, k=k, threshold=threshold,
                       magnitude_bits=config.magnitude_bits,
@@ -145,7 +145,10 @@ class TileSimulator:
         estimates read only its cycles and energy counters)."""
         config = self.config
         full = serial_cycle_count(config.qk_bits, config.serial_bits)
-        counts = [job.valid.sum(axis=1) for job in jobs]
+        # jobs of one record batch item share their mask
+        sums = {id(job.valid): job.valid for job in jobs}
+        sums = {key: mask.sum(axis=1) for key, mask in sums.items()}
+        counts = [sums[id(job.valid)] for job in jobs]
         valid_rows = np.concatenate(counts) if counts else np.zeros(0, int)
         active = valid_rows > 0
         # front end: keys of a row round-robin over N_QK lanes
@@ -163,89 +166,40 @@ class TileSimulator:
 
     def _run_pruning(self, jobs: list[HeadJob]):
         """Activity of a tile with early termination and/or runtime
-        pruning, from the per-score kernel results of every job.  Jobs
-        are flattened into run-wide score arrays (in chunks of at most
-        ``_ACTIVITY_CHUNK`` scores) and rows reduced over their
-        segments, so the cost is a fixed number of array passes rather
-        than a Python pass per job."""
+        pruning, from the row activity of every job: the kernel
+        backend's with early termination, else that of every valid
+        score's full schedule and exact score."""
         config = self.config
         quants = [job.quantized_for(config.magnitude_bits)
                   for job in jobs]
-        kernels = self._kernel_many(jobs, quants)
-        full = serial_cycle_count(config.qk_bits, config.serial_bits)
-        counters = TileCounters()
-        fe_rows, be_rows, job_rows = [], [], []
-        chunk, size = [], 0
-        for job, (q, k, threshold), kernel in zip(jobs, quants, kernels):
-            valid = job.valid
-            s_q, s_k = valid.shape
-            # a job without keys has no valid score: it adds no work
-            job_rows.append(s_q if s_k else 0)
-            if not (s_q and s_k):
-                continue
-            if kernel is None:
-                scores = q.astype(np.float64) @ k.T.astype(np.float64)
-                kernel = (np.where(valid, full, 0), scores < threshold,
-                          scores)
-            chunk.append((*kernel, valid))
-            size += valid.size
-            if size >= _ACTIVITY_CHUNK:
-                self._activity(chunk, fe_rows, be_rows, counters)
-                chunk, size = [], 0
-        if chunk:
-            self._activity(chunk, fe_rows, be_rows, counters)
-        return (np.concatenate(fe_rows) if fe_rows else np.zeros(0, int),
-                np.concatenate(be_rows) if be_rows else np.zeros(0, int),
-                job_rows, counters)
-
-    def _activity(self, parts, fe_rows: list, be_rows: list,
-                  counters: TileCounters) -> None:
-        """Row demands and counters of ``(cycles, pruned, scores,
-        valid)`` tiles: appends each row's front/back-end cycles to
-        ``fe_rows``/``be_rows`` and adds the score counts to
-        ``counters``."""
-        config = self.config
-        cycles, pruned, scores, valid = (
-            np.concatenate([part[i].ravel() for part in parts])
-            for i in range(4))
-        row_lengths = np.concatenate(
-            [np.full(part[3].shape[0], part[3].shape[1]) for part in parts])
-        row_starts = np.cumsum(row_lengths) - row_lengths
-
-        pruned_valid = pruned & valid
-        if config.runtime_pruning:
-            # the back end's running-max register always survives, so a
-            # row is never pruned empty — same semantics as the model's
-            # HARD mode (models/attention.py)
-            masked = np.where(valid, scores, -np.inf)
-            row_max = np.repeat(np.maximum.reduceat(masked, row_starts),
-                                row_lengths)
-            surviving = valid & (~pruned_valid | (masked == row_max))
+        if config.early_termination:
+            activity = self._kernel_many(jobs, quants)
         else:
-            surviving = valid
-
-        active = np.add.reduceat(valid, row_starts, dtype=np.int64) > 0
+            full = serial_cycle_count(config.qk_bits, config.serial_bits)
+            tiles = []
+            for job, (q, k, threshold) in zip(jobs, quants):
+                scores = q.astype(np.float64) @ k.T.astype(np.float64)
+                tiles.append(RowActivity.of_tile(
+                    np.where(job.valid, full, 0), scores < threshold,
+                    scores, job.valid, config.serial_bits,
+                    config.qk_bits))
+            activity = RowActivity.concat(tiles)
+        active = activity.valid > 0
+        survivors = (activity.survivors if config.runtime_pruning
+                     else activity.valid)
         # front end: keys of a row round-robin over N_QK lanes
-        row_lane_cycles = np.add.reduceat(cycles, row_starts)
-        fe_rows.append(-(-row_lane_cycles // config.num_qk_dpus))
+        fe_rows = -(-activity.lane_cycles // config.num_qk_dpus)
         # back end: per-row softmax pipeline + per-survivor xV work
-        be_rows.append(np.where(
-            active,
-            config.softmax_latency
-            + np.add.reduceat(surviving, row_starts, dtype=np.int64)
-            * config.vpu_cycles_per_score,
-            0))
-        # the last cycle of a full schedule may carry fewer planes than
-        # serial_bits (e.g. 9 bits in 5x2 cycles), so cap per score
-        bits_processed = np.minimum(cycles * config.serial_bits,
-                                    config.qk_bits)
-        counters.add(TileCounters(
-            scores_total=int(valid.sum()),
-            scores_pruned=int(pruned_valid.sum()),
-            survivors=int(surviving.sum()),
-            qk_lane_cycles=int(cycles.sum()),
-            qk_bits_processed=int(bits_processed.sum()),
-            rows=int(active.sum())))
+        be_rows = np.where(active, config.softmax_latency
+                           + survivors * config.vpu_cycles_per_score, 0)
+        valid, lane_cycles, kept, pruned = activity.counts.sum(axis=1)
+        counters = TileCounters(
+            scores_total=int(valid), scores_pruned=int(pruned),
+            survivors=int(kept if config.runtime_pruning else valid),
+            qk_lane_cycles=int(lane_cycles),
+            qk_bits_processed=int(activity.bits.sum()),
+            rows=int(np.count_nonzero(active)))
+        return fe_rows, be_rows, activity.rows, counters
 
     def run_job(self, job: HeadJob) -> TileRunResult:
         return self.run([job])
@@ -257,20 +211,20 @@ class TileSimulator:
         else:
             fe_rows, be_rows, job_rows, counters = self._run_baseline(jobs)
         # per-job front/back-end demand: sums over each job's rows
-        bounds = np.cumsum([0] + job_rows)
-        fe_jobs = np.diff(np.concatenate(([0], np.cumsum(fe_rows)))[bounds])
-        be_jobs = np.diff(np.concatenate(([0], np.cumsum(be_rows)))[bounds])
+        owner = np.repeat(np.arange(len(job_rows)), job_rows)
+        fe_jobs, be_jobs = (
+            np.bincount(owner, rows, len(job_rows)).astype(np.int64)
+            .tolist() for rows in (fe_rows, be_rows))
         # jobs stream back-to-back through the tile; the pipeline-fill
         # latency is charged once per run, not per job
-        total = int(np.maximum(fe_jobs, be_jobs).sum())
+        total = sum(map(max, fe_jobs, be_jobs))
         if jobs:
             total += config.full_score_cycles() + config.softmax_latency
-        counters.vpu_busy_cycles = int(be_jobs.sum())
+        counters.vpu_busy_cycles = sum(be_jobs)
         counters.runtime_cycles = total
         return TileRunResult(
             config=config, total_cycles=total,
-            frontend_cycles=int(fe_jobs.sum()),
-            backend_cycles=int(be_jobs.sum()),
-            frontend_stall_cycles=int(np.maximum(be_jobs - fe_jobs,
-                                                 0).sum()),
+            frontend_cycles=sum(fe_jobs), backend_cycles=sum(be_jobs),
+            frontend_stall_cycles=sum(max(be - fe, 0) for fe, be
+                                      in zip(fe_jobs, be_jobs)),
             counters=counters, jobs=len(jobs))

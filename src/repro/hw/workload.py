@@ -9,14 +9,21 @@ import numpy as np
 DEFAULT_MAGNITUDE_BITS = 11
 
 
+def _int_dtype(magnitude_bits: int) -> type:
+    """The integer type of quantized values: int16 while the
+    magnitudes fit, so kernels stage them without widening."""
+    return np.int16 if magnitude_bits < 16 else np.int64
+
+
 def _quantize(values: np.ndarray, magnitude_bits: int
               ) -> tuple[np.ndarray, float]:
     """Symmetric sign-magnitude quantization to ``magnitude_bits``."""
+    dtype = _int_dtype(magnitude_bits)
     peak = float(np.abs(values).max())
     if peak <= 0.0:
-        return np.zeros(values.shape, dtype=np.int64), 1.0
+        return np.zeros(values.shape, dtype=dtype), 1.0
     scale = ((1 << magnitude_bits) - 1) / peak
-    return np.round(values * scale).astype(np.int64), scale
+    return np.round(values * scale).astype(dtype), scale
 
 
 @dataclass
@@ -24,12 +31,13 @@ class HeadJob:
     """One (layer, head, sequence) attention tile job.
 
     ``queries``/``keys``/``threshold`` are in the tile's native 12-bit
-    integer domain; the float originals are kept so simulators can
-    requantize for narrower datapaths (e.g. the 9-bit Table-2 variant).
+    integer domain (int16 arrays from the quantizers here); the float
+    originals are kept so simulators can requantize for narrower
+    datapaths (e.g. the 9-bit Table-2 variant).
     """
 
-    queries: np.ndarray          # (S_q, D) int64
-    keys: np.ndarray             # (S_k, D) int64
+    queries: np.ndarray          # (S_q, D) integers
+    keys: np.ndarray             # (S_k, D) integers
     threshold: float             # integer-score domain
     valid: np.ndarray            # (S_q, S_k) bool
     q_float: np.ndarray | None = None
@@ -73,12 +81,35 @@ def job_from_arrays(q: np.ndarray, k: np.ndarray, threshold: float,
     )
 
 
+def _quantize_stack(arrays, magnitude_bits: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_quantize` of every trailing matrix of the same-shape
+    ``arrays`` in one vectorised pass: each matrix with its own peak,
+    bit-identical to quantizing them one at a time.  Returns the
+    stacked integer matrices and their scales."""
+    values = np.stack(arrays).astype(np.float64, copy=False)
+    flat = values.reshape(-1, values.shape[-2] * values.shape[-1])
+    peaks = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    scales = np.ones_like(peaks)
+    np.divide((1 << magnitude_bits) - 1, peaks, out=scales,
+              where=peaks > 0.0)
+    np.multiply(flat, scales[:, None], out=flat)
+    ints = np.rint(flat, out=np.empty(flat.shape,
+                                      dtype=_int_dtype(magnitude_bits)),
+                   casting="unsafe")
+    return ints.reshape(values.shape), scales.reshape(values.shape[:-2])
+
+
 def jobs_from_records(records, pack_group=None) -> list[HeadJob]:
     """Flatten captured attention records into per-(batch, head) jobs.
 
     Records must have been captured with ``record_qk=True`` so the
     actual Q/K activations are available (the recorded scores already
     include the 1/sqrt(d) scale, and so do the stored queries).
+
+    All Q and K matrices of one shape are quantized in one vectorised
+    pass, each with its own peak, exactly as :func:`job_from_arrays`
+    quantizes a single job.
 
     Each job carries a ``pack_key`` — ``(pack_group, layer, batch,
     head)`` — identifying its key matrix for the pack-once plane
@@ -88,19 +119,44 @@ def jobs_from_records(records, pack_group=None) -> list[HeadJob]:
     jobs from different calls should share cache entries; the default
     ``None`` still distinguishes layers/heads within one call.
     """
-    jobs: list[HeadJob] = []
-    for record in records:
+    records = list(records)
+    # every Q and K activation, grouped by shape: (record, 0 for Q or
+    # 1 for K) per member
+    shapes: dict[tuple, list[tuple[int, int]]] = {}
+    for index, record in enumerate(records):
         if record.queries is None or record.keys is None:
             raise ValueError(
                 "record captured without record_qk=True; hardware jobs "
                 "need the Q/K activations")
-        batch, heads = record.queries.shape[:2]
+        for side, values in enumerate((record.queries, record.keys)):
+            shapes.setdefault(values.shape, []).append((index, side))
+    # per record: [(int Q, Q scales), (int K, K scales)], each
+    # (batch, heads, ...)
+    quantized = [[None, None] for _ in records]
+    for members in shapes.values():
+        ints, scales = _quantize_stack(
+            [(records[i].queries, records[i].keys)[side]
+             for i, side in members], DEFAULT_MAGNITUDE_BITS)
+        for position, (i, side) in enumerate(members):
+            quantized[i][side] = (ints[position], scales[position])
+
+    jobs: list[HeadJob] = []
+    for record, ((qi, sq), (ki, sk)) in zip(records, quantized):
+        q = np.asarray(record.queries, dtype=np.float64)
+        k = np.asarray(record.keys, dtype=np.float64)
+        batch, heads = q.shape[:2]
+        threshold = float(record.threshold)
         for b in range(batch):
-            valid = None if record.valid is None else record.valid[b]
+            valid = (np.ones((q.shape[2], k.shape[2]), dtype=bool)
+                     if record.valid is None
+                     else np.asarray(record.valid[b], dtype=bool))
             for h in range(heads):
-                job = job_from_arrays(
-                    record.queries[b, h], record.keys[b, h],
-                    record.threshold, valid,
+                job = HeadJob(
+                    queries=qi[b, h], keys=ki[b, h],
+                    threshold=(threshold * float(sq[b, h])
+                               * float(sk[b, h])),
+                    valid=valid, q_float=q[b, h], k_float=k[b, h],
+                    threshold_float=threshold,
                     layer_index=record.layer_index, head=h)
                 job.metadata["pack_key"] = (
                     pack_group, record.layer_index, b, h)

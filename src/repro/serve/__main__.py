@@ -66,6 +66,13 @@ def load_engine(directory: str) -> PrunedInferenceEngine:
     return engine
 
 
+def engine_kind(engine: PrunedInferenceEngine) -> str:
+    """The traffic a model serves: ``generate`` for a causal LM,
+    ``classify`` otherwise."""
+    return ("generate" if hasattr(engine.model, "decode_step")
+            else "classify")
+
+
 def make_serving(args, engine, hw_config,
                  name: str | None = None) -> ServingEngine:
     return ServingEngine(
@@ -221,12 +228,21 @@ def tier_demo(args, directory: str, hw_config) -> None:
                                    health=row["health"])
 
 
+# the toy model and the single-engine demo of each kind of traffic
+TOYS = {"classify": build_classifier_engine, "generate": build_lm_engine}
+DEMOS = {"classify": classify_demo, "generate": generate_demo}
+MODES = [*TOYS, "both"]
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="batched serving demo over the pruned engine")
-    parser.add_argument("--mode", choices=["classify", "generate", "both"],
-                        default="both")
+    parser.add_argument("--mode", choices=MODES, default=None,
+                        help="traffic to serve: the built-in toy "
+                             "classifier, the toy LM, or both (the "
+                             "default); with --engine-dir it must name "
+                             "the snapshot's kind")
     parser.add_argument("--engine-dir", default=None, metavar="PATH",
                         help="serve a saved PrunedInferenceEngine "
                              "snapshot instead of the built-in toys")
@@ -305,6 +321,16 @@ def main(argv=None) -> None:
             parser.error("--procs and --replicas are alternatives: "
                          "pick in-process replicas or worker processes")
 
+    engine = None
+    if args.engine_dir:
+        engine = load_engine(args.engine_dir)
+        kind = engine_kind(engine)
+        if args.mode not in (None, kind):
+            parser.error(f"--mode {args.mode} does not match "
+                         f"{args.engine_dir}: it holds a "
+                         f"{type(engine.model).__name__}, served as "
+                         f"{kind} traffic")
+
     # observability surfaces are opt-in: without these flags every
     # engine binds no-op handles and the demo runs uninstrumented
     args.obs_registry = None
@@ -323,7 +349,7 @@ def main(argv=None) -> None:
         print(f"[metrics] serving http://127.0.0.1:"
               f"{metrics_server.server_address[1]}/metrics")
     try:
-        _dispatch(args, hw_config)
+        _dispatch(args, hw_config, engine)
     finally:
         if metrics_server is not None:
             if args.metrics_linger > 0:
@@ -338,35 +364,28 @@ def main(argv=None) -> None:
             print(args.obs_registry.exposition(), end="")
 
 
-def _dispatch(args, hw_config) -> None:
-    if args.replicas > 1 or args.procs is not None:
-        import tempfile
-        with tempfile.TemporaryDirectory() as scratch:
-            if args.engine_dir:
-                directory = args.engine_dir
-                load_engine(directory)   # validate before replication
-            else:
-                directory = scratch
-                build_lm_engine(args.seed).save(directory)
-            tier_demo(args, directory, hw_config)
-        return
-
-    if args.engine_dir:
-        engine = load_engine(args.engine_dir)
-        generative = hasattr(engine.model, "decode_step")
+def _dispatch(args, hw_config, engine) -> None:
+    """Serve the snapshot ``engine`` (loaded from ``--engine-dir``), or
+    the toy models ``--mode`` names, on one engine or a tier."""
+    tier = args.replicas > 1 or args.procs is not None
+    if engine is not None:
+        kind = engine_kind(engine)
         print(f"[engine] {args.engine_dir}: "
-              f"{type(engine.model).__name__} "
-              f"({'generate' if generative else 'classify'} traffic)")
-        if generative:
-            generate_demo(args, engine, hw_config)
+              f"{type(engine.model).__name__} ({kind} traffic)")
+        if tier:
+            tier_demo(args, args.engine_dir, hw_config)
         else:
-            classify_demo(args, engine, hw_config)
+            DEMOS[kind](args, engine, hw_config)
         return
-
-    if args.mode in ("classify", "both"):
-        classify_demo(args, build_classifier_engine(args.seed), hw_config)
-    if args.mode in ("generate", "both"):
-        generate_demo(args, build_lm_engine(args.seed), hw_config)
+    for kind in [args.mode] if args.mode in TOYS else list(TOYS):
+        toy = TOYS[kind](args.seed)
+        if tier:
+            import tempfile
+            with tempfile.TemporaryDirectory() as scratch:
+                toy.save(scratch)
+                tier_demo(args, scratch, hw_config)
+        else:
+            DEMOS[kind](args, toy, hw_config)
 
 
 if __name__ == "__main__":

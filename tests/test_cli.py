@@ -80,6 +80,39 @@ def test_tier_demo_serves_classifier_snapshot(snapshots, flag):
     assert "-> tier: 4 terminal" in proc.stdout
 
 
+@pytest.mark.parametrize("flag", ["--replicas", "--procs"])
+def test_tier_demo_serves_the_toy_mode_names(flag):
+    count = "2" if flag == "--replicas" else "1"
+    proc = run_cli("-m", "repro.serve", flag, count, "--mode", "classify",
+                   "--requests", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    # the toy classifier, not the toy LM: classify results only
+    assert proc.stdout.count(": class ") == 4
+    assert "stream " not in proc.stdout
+    assert "-> tier: 4 terminal" in proc.stdout
+
+
+@pytest.mark.parametrize("model,mode,held", [
+    ("lm", "classify", "TransformerLM, served as generate traffic"),
+    ("lm", "both", "TransformerLM, served as generate traffic"),
+    ("clf", "generate",
+     "TransformerClassifier, served as classify traffic"),
+], ids=["lm-classify", "lm-both", "clf-generate"])
+@pytest.mark.parametrize("tier", [[], ["--replicas", "2"]],
+                         ids=["engine", "tier"])
+def test_mode_contradicting_snapshot_is_a_clean_error(
+        snapshots, capsys, model, mode, held, tier):
+    with pytest.raises(SystemExit) as excinfo:
+        serve_main(["--engine-dir", snapshots[model], "--mode", mode,
+                    *tier])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: --mode {mode} does not match" in err
+    assert held in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--max-batch-size", "0"], "max_batch_size must be >= 1"),
     (["--max-wait", "-1"], "max_wait must be >= 0"),

@@ -1,13 +1,14 @@
 """Batched-kernel conformance: ``matrix_many`` vs per-job ``matrix``.
 
 The fused cross-job path (and every backend's batched entry point,
-fallback loop included) must be bit-identical to calling ``matrix``
-per job — regardless of how jobs are banded, padded, chunked, or
-whether their packed planes came from a cache.  These tests pin that
-contract on randomized mixed-shape job sets including every edge case
-the solo conformance matrix covers (all-pruned, empty/partial valid
-masks, huge-q float64 fallback, aggressive margins), plus the
-pack-once cache's reuse/invalidation semantics.
+fallback loop included) must return the row activity of calling
+``matrix`` per job, bit for bit — regardless of how jobs are banded,
+padded, chunked, or whether their packed planes came from a cache.
+These tests pin that contract on randomized mixed-shape job sets
+including every edge case the solo conformance matrix covers
+(all-pruned, empty/partial valid masks, huge-q float64 fallback,
+aggressive margins), plus the pack-once cache's reuse/invalidation
+semantics.
 """
 
 import numpy as np
@@ -27,6 +28,22 @@ def assert_job_matches(actual, expected, context=""):
                                   ("cycles", "pruned", "scores")):
         np.testing.assert_array_equal(ours, theirs,
                                       err_msg=f"{name} {context}")
+
+
+def assert_activity_matches(actual, expected, context=""):
+    for name in ("rows", "counts", "bits"):
+        ours, theirs = getattr(actual, name), getattr(expected, name)
+        assert ours.dtype == theirs.dtype == np.int64, f"{name} {context}"
+        np.testing.assert_array_equal(ours, theirs,
+                                      err_msg=f"{name} {context}")
+
+
+def matrix_loop(backend, jobs):
+    """Each job's ``(cycles, pruned, scores)`` tile."""
+    return [backend.matrix(job.q, job.k, job.threshold,
+                           job.magnitude_bits, job.group, valid=job.valid,
+                           margin_scale=job.margin_scale)
+            for job in jobs]
 
 
 def mixed_jobs(rng, count=24, dim_choices=(8, 16, 64)):
@@ -83,11 +100,9 @@ def test_matrix_many_matches_per_job_loop(backend):
         jobs = mixed_jobs(np.random.default_rng(seed))
         fused = run_many(resolved, jobs)
         loop = matrix_many_loop(resolved, jobs)
-        assert len(fused) == len(loop) == len(jobs)
-        for i, (ours, theirs) in enumerate(zip(fused, loop)):
-            assert_job_matches(ours, theirs,
-                               f"(backend={backend}, seed={seed}, "
-                               f"job={i})")
+        assert len(fused.rows) == len(fused.bits) == len(jobs)
+        assert_activity_matches(fused, loop,
+                                f"(backend={backend}, seed={seed})")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -98,15 +113,16 @@ def test_matrix_many_matches_reference_backend(backend):
     jobs = mixed_jobs(np.random.default_rng(7), count=16)
     reference = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
     fused = run_many(backends.get_backend(backend), jobs)
-    for i, (ours, theirs) in enumerate(zip(fused, reference)):
-        assert_job_matches(ours, theirs,
-                           f"(backend={backend}, job={i})")
+    assert_activity_matches(fused, reference, f"(backend={backend})")
 
 
 def test_run_many_empty_and_fallback():
-    """run_many on no jobs is a no-op list; backends without a fused
-    tier silently fall back to the per-job loop."""
-    assert run_many(backends.get_backend("numpy-ref"), []) == []
+    """run_many on no jobs is an empty activity; backends without a
+    fused tier silently fall back to the per-job loop."""
+    for name in BACKENDS:
+        empty = run_many(backends.get_backend(name), [])
+        assert empty.rows.shape == empty.bits.shape == (0,)
+        assert empty.counts.shape == (4, 0)
 
     class LoopOnly:
         name = "loop-only"
@@ -122,8 +138,25 @@ def test_run_many_empty_and_fallback():
     jobs = mixed_jobs(np.random.default_rng(3), count=6)
     fused = run_many(LoopOnly(), jobs)
     reference = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
-    for ours, theirs in zip(fused, reference):
-        assert_job_matches(ours, theirs, "(loop fallback)")
+    assert_activity_matches(fused, reference, "(loop fallback)")
+
+
+def test_narrow_integer_inputs_match_int64():
+    """int16 tiles (what the quantizers emit) give the int64 tiles'
+    activity, including keys at the int16 extremes, whose magnitude
+    int16 cannot hold."""
+    rng = np.random.default_rng(17)
+    wide = mixed_jobs(rng, count=12)
+    for job in wide[:3]:
+        job.k[0, :2] = (-(1 << 15), (1 << 15) - 1)
+    narrow = [KernelJob(q=np.asarray(job.q).astype(np.int16),
+                        k=np.asarray(job.k).astype(np.int16),
+                        threshold=job.threshold,
+                        magnitude_bits=job.magnitude_bits, group=job.group,
+                        valid=job.valid, margin_scale=job.margin_scale)
+              for job in wide if np.abs(job.q).max(initial=0) < 1 << 15]
+    reference = matrix_many_loop(backends.get_backend("numpy-ref"), narrow)
+    assert_activity_matches(fused_matrix_many(narrow), reference)
 
 
 def test_fused_cached_matches_uncached():
@@ -141,10 +174,9 @@ def test_fused_cached_matches_uncached():
     warm = fused_matrix_many(jobs, cache=cache)
     bare = fused_matrix_many(jobs)
     loop = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
-    for i in range(len(jobs)):
-        assert_job_matches(cold[i], loop[i], f"(cold, job={i})")
-        assert_job_matches(warm[i], loop[i], f"(warm, job={i})")
-        assert_job_matches(bare[i], loop[i], f"(bare, job={i})")
+    assert_activity_matches(cold, loop, "(cold)")
+    assert_activity_matches(warm, loop, "(warm)")
+    assert_activity_matches(bare, loop, "(bare)")
     assert cache.stats()["hits"] > 0
 
 
@@ -196,21 +228,23 @@ def _window_jobs(qmax, rng):
 def test_f32_window_edge_is_bit_identical(qmax, dtype, monkeypatch):
     """On both sides of the float32 window's edge, the packed kernel
     picks the expected GEMM dtype and stays bit-identical to numpy-ref
-    through ``matrix`` and ``fused_matrix_many``, cached or not."""
+    through ``matrix`` (the tiles) and ``fused_matrix_many`` (the row
+    activity), cached or not."""
     from repro.hw.backends import packed_common
 
     seen = []
     gemm = packed_common._gemm
 
-    def recording_gemm(a, b):
+    def recording_gemm(a, b, **kwargs):
         seen.append(a.dtype)
-        return gemm(a, b)
+        return gemm(a, b, **kwargs)
 
     monkeypatch.setattr(packed_common, "_gemm", recording_gemm)
     jobs = _window_jobs(qmax, np.random.default_rng(qmax))
-    reference = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
+    reference = matrix_loop(backends.get_backend("numpy-ref"), jobs)
+    activity = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
     packed = backends.get_backend("numpy-packed")
-    solo = matrix_many_loop(packed, jobs)
+    solo = matrix_loop(packed, jobs)
     bare = fused_matrix_many(jobs)
     cache = PlaneGroupCache()
     cold = fused_matrix_many(jobs, cache=cache)
@@ -218,10 +252,10 @@ def test_f32_window_edge_is_bit_identical(qmax, dtype, monkeypatch):
     assert cache.stats()["hits"] > 0 and cache.stats()["extended"] > 0
     assert seen and set(seen) == {np.dtype(dtype)}
     for i, expected in enumerate(reference):
-        for name, result in (("matrix", solo), ("bare", bare),
-                             ("cold", cold), ("warm", warm)):
-            assert_job_matches(result[i], expected,
-                               f"(qmax={qmax}, {name}, job={i})")
+        assert_job_matches(solo[i], expected,
+                           f"(qmax={qmax}, matrix, job={i})")
+    for name, result in (("bare", bare), ("cold", cold), ("warm", warm)):
+        assert_activity_matches(result, activity, f"(qmax={qmax}, {name})")
     # the all-maximal tile really reaches the window's bound
     assert reference[0][2].max() == qmax * 2047 * 64
 
@@ -310,9 +344,7 @@ def test_decode_shaped_reuse_hits_cache():
                                   pack_key=("stream", s)))
         cached = run_many(backend, jobs, cache=cache)
         plain = matrix_many_loop(backend, jobs)
-        for i in range(len(jobs)):
-            assert_job_matches(cached[i], plain[i],
-                               f"(step={step}, job={i})")
+        assert_activity_matches(cached, plain, f"(step={step})")
         streams = {s: np.concatenate(
             [k, rng.integers(-2047, 2048, (1, 32))])
             for s, k in streams.items()}

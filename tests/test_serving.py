@@ -258,16 +258,23 @@ def test_traffic_totals_aggregate_per_request():
     assert serving.stats.mean_batch_size == 8 / 3
 
 
-def test_classify_estimates_bypass_pack_cache():
+@pytest.mark.parametrize("threshold", [0.0, 0.3, -0.3, 5e4],
+                         ids=["zero", "+0.3", "-0.3", "past-int32"])
+def test_classify_estimates_bypass_pack_cache(threshold):
     """Classify keys never recur, so hardware estimates of classify
     traffic leave the engine's pack cache untouched (no entries, no
     lookups) — and still equal solo estimates and the numpy-ref
-    oracle.  Generate streams keep using the cache at finalize."""
+    oracle, at zero, small and huge learned thresholds (the last puts
+    the integer-domain threshold past 2^30, where the kernel's scan
+    leaves int32 for float64).  Generate streams keep using the cache
+    at finalize."""
     import dataclasses
 
     from repro.hw import AE_LEOPARD
+    from repro.hw.workload import jobs_from_records
 
     engine = make_classifier_engine(0)
+    engine.controller.set_threshold_values(np.full(2, threshold))
     rng = np.random.default_rng(13)
     requests = [rng.integers(0, 50, size=int(n))
                 for n in rng.integers(1, MAX_SEQ + 1, size=9)]
@@ -281,6 +288,9 @@ def test_classify_estimates_bypass_pack_cache():
         reference = engine.estimate_from_records(got.records, oracle)
         assert dataclasses.replace(
             got.hardware, kernel_backend="numpy-ref") == reference
+    peak = max(abs(job.threshold) for got in batched
+               for job in jobs_from_records(got.records))
+    assert (peak >= 2 ** 30) == (threshold == 5e4)
 
     # the fused kernel is the one that reads the cache, whatever
     # backend the environment selects

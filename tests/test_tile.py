@@ -18,7 +18,7 @@ from repro.hw import (AE_LEOPARD, HP_LEOPARD, TileSimulator,
                       baseline_like, get_backend)
 from repro.hw.bitserial import serial_cycle_count
 from repro.hw.tile import TileCounters
-from repro.hw.workload import job_from_arrays
+from repro.hw.workload import HeadJob, job_from_arrays
 
 BASELINE = baseline_like(AE_LEOPARD)
 PRUNING_CONFIGS = {
@@ -164,23 +164,86 @@ def test_vectorised_activity_matches_per_job(name):
     assert run_fields(config, []) == per_job_run(config, [])
 
 
-def test_vectorised_activity_spans_chunks(monkeypatch):
-    """A job list flattened in several activity chunks gives the same
-    result as one pass."""
-    from repro.hw import tile
+def edge_tiles(seed):
+    """``(q, k, threshold, valid, margin_scale)`` integer tiles of mixed
+    shapes and head dims, with aggressive margins, huge queries (past
+    the float32 GEMM window), keyless and queryless tiles, all-invalid
+    rows and tied row maxima."""
+    rng = np.random.default_rng(seed)
+    tiles = []
+    for index in range(24):
+        # two crowded shape bands, plus any shape
+        s_q, s_k = ((int(rng.integers(3, 5)), int(rng.integers(17, 33))),
+                    (int(rng.integers(5, 9)), int(rng.integers(9, 17))),
+                    (int(rng.integers(1, 12)), int(rng.integers(1, 40))),
+                    )[index % 3]
+        dim = (8, 16)[index % 2]
+        limit = 1 << 22 if index % 6 == 5 else 2047
+        q = rng.integers(-limit, limit + 1, (s_q, dim))
+        k = rng.integers(-2047, 2048, (s_k, dim))
+        valid = rng.random((s_q, s_k)) < 0.8
+        valid[rng.random(s_q) < 0.3] = False        # all-invalid rows
+        if index % 4 == 0 and s_k > 1:
+            k[-1] = k[0]                            # tied row maxima
+            valid[:, [0, -1]] = True
+        threshold = float(np.percentile(q @ k.T, 60))
+        margin_scale = 0.5 if index % 5 == 4 else 1.0
+        tiles.append((q, k, threshold, valid, margin_scale))
+    empty = np.zeros((0, 8), dtype=np.int64)
+    some = rng.integers(-2047, 2048, (3, 8))
+    tiles.append((some, empty, 0.0, np.zeros((3, 0), dtype=bool), 1.0))
+    tiles.append((empty, some, 0.0, np.zeros((0, 3), dtype=bool), 1.0))
+    return tiles
 
-    jobs = mixed_jobs(3, count=20)
-    whole = run_fields(AE_LEOPARD, jobs)
-    monkeypatch.setattr(tile, "_ACTIVITY_CHUNK", 50)
-    assert run_fields(AE_LEOPARD, jobs) == whole
-    assert whole == per_job_run(AE_LEOPARD, jobs)
+
+def test_vectorised_activity_spans_chunks(monkeypatch):
+    """With chunks capped small, job lists split into several shape
+    bands and several chunks per band; the fused row activity still
+    equals the numpy-ref ``matrix`` loop's, and ``TileSimulator.run``
+    the per-job schedule, on edge-case tiles."""
+    from repro.hw.backends import (KernelJob, matrix_many_loop,
+                                   packed_common, run_many)
+
+    chunks = []
+    scan = packed_common._scan
+
+    def recording_scan(chunk, spec, dim, s_q_pad, s_k_pad, *args):
+        chunks.append((dim, s_q_pad, s_k_pad))
+        return scan(chunk, spec, dim, s_q_pad, s_k_pad, *args)
+
+    monkeypatch.setattr(packed_common, "_MAX_CHUNK_MACS", 1 << 14)
+    monkeypatch.setattr(packed_common, "_scan", recording_scan)
+    packed, reference = get_backend("numpy-packed"), get_backend("numpy-ref")
+    for seed in range(3):
+        tiles = edge_tiles(seed)
+        kernel_jobs = [KernelJob(q=q, k=k, threshold=threshold,
+                                 magnitude_bits=11, group=2, valid=valid,
+                                 margin_scale=margin_scale)
+                       for q, k, threshold, valid, margin_scale in tiles]
+        chunks.clear()
+        fused = run_many(packed, kernel_jobs)
+        loop = matrix_many_loop(reference, kernel_jobs)
+        for name in ("rows", "counts", "bits"):
+            np.testing.assert_array_equal(getattr(fused, name),
+                                          getattr(loop, name),
+                                          err_msg=f"{name} seed={seed}")
+        # several bands, and some band split into several chunks
+        assert len(set(chunks)) > 1
+        assert len(chunks) > len(set(chunks))
+
+        head_jobs = [HeadJob(queries=q, keys=k, threshold=threshold,
+                             valid=valid)
+                     for q, k, threshold, valid, margin_scale in tiles
+                     if margin_scale == 1.0]
+        for name in ("ae", "termination-only", "pruning-only"):
+            config = PRUNING_CONFIGS[name]
+            assert run_fields(config, head_jobs) == \
+                per_job_run(config, head_jobs), f"{name} seed={seed}"
 
 
 def test_keyless_and_queryless_jobs_add_no_work():
     """Jobs with no keys or no queries count as jobs but add no
     cycles or scores."""
-    from repro.hw.workload import HeadJob
-
     empty_k = HeadJob(queries=np.ones((3, 8), dtype=np.int64),
                       keys=np.zeros((0, 8), dtype=np.int64),
                       threshold=0.0, valid=np.zeros((3, 0), dtype=bool))
