@@ -34,7 +34,7 @@ Selection precedence: an explicit ``backend=`` argument
 environment variable, then :data:`DEFAULT_BACKEND`.
 
 The batched tier is what the tile simulator calls.  Backends may
-implement ``matrix_many(jobs, cache=None)``, taking a list of
+implement ``matrix_many(jobs)``, taking a list of
 :class:`KernelJob` and returning one :class:`RowActivity` for the
 whole list: each job's per-query-row counts (valid scores, DPU lane
 cycles, survivors, pruned valid scores) and its key bit-planes, the
@@ -42,10 +42,10 @@ only quantities the simulator reads.  A fused implementation
 reduces its own padded arrays to these counts instead of handing back
 per-job ``(cycles, pruned, scores)`` tiles; ``numpy-packed`` fuses
 every job sharing a head-dim and plane schedule into one banded GEMM
-and scan.  Backends without ``matrix_many`` are driven through
-:func:`run_many`, which falls back to :func:`matrix_many_loop`: the
-row activity of each job's ``matrix`` triple, reduced by
-:meth:`RowActivity.of_tile`.  That loop is the reference; results are
+and scan, packing each band's keys in one pass.  Backends without
+``matrix_many`` are driven through :func:`run_many`, which falls back
+to :func:`matrix_many_loop`: the row activity of each job's ``matrix``
+triple, reduced by :meth:`RowActivity.of_tile`.  That loop is the reference; results are
 bit-identical either way, pinned by ``tests/test_fused.py``.
 """
 
@@ -65,11 +65,7 @@ DEFAULT_BACKEND = "numpy-packed"
 class KernelJob:
     """One score-tile evaluation request for the batched kernel tier.
 
-    Mirrors the argument list of :meth:`KernelBackend.matrix`, plus an
-    optional ``pack_key``: a hashable identity (stream/layer/head) for
-    the key matrix, letting pack-once plane caches reuse packed planes
-    across decode steps where K only grows by a suffix.  ``None``
-    means "don't cache".
+    Mirrors the argument list of :meth:`KernelBackend.matrix`.
     """
 
     q: Any
@@ -79,7 +75,6 @@ class KernelJob:
     group: int
     valid: np.ndarray | None = None
     margin_scale: float = 1.0
-    pack_key: Any = None
 
 
 @runtime_checkable
@@ -107,7 +102,7 @@ class KernelBackend(Protocol):
     # list.  Backends may omit this — run_many() falls back to the
     # per-job matrix loop — but implementations must stay
     # bit-identical to that loop for every job mix.
-    # def matrix_many(self, jobs, cache=None) -> RowActivity: ...
+    # def matrix_many(self, jobs) -> RowActivity: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,14 +176,12 @@ class RowActivity:
                    np.concatenate([p.bits for p in parts]))
 
 
-def matrix_many_loop(backend: KernelBackend, jobs,
-                     cache=None) -> RowActivity:
+def matrix_many_loop(backend: KernelBackend, jobs) -> RowActivity:
     """Reference ``matrix_many``: the row activity of each job's
     ``matrix`` triple.
 
     Defines the semantics every fused implementation must reproduce
-    bit-for-bit.  ``cache`` is accepted for signature compatibility;
-    the loop path re-packs per call and ignores it.
+    bit-for-bit.
     """
     return RowActivity.concat(
         RowActivity.of_tile(
@@ -200,7 +193,7 @@ def matrix_many_loop(backend: KernelBackend, jobs,
         for job in jobs)
 
 
-def run_many(backend: KernelBackend, jobs, cache=None) -> RowActivity:
+def run_many(backend: KernelBackend, jobs) -> RowActivity:
     """Row activity of a batch of :class:`KernelJob` on ``backend``.
 
     Dispatches to the backend's fused ``matrix_many`` when it has one,
@@ -210,8 +203,8 @@ def run_many(backend: KernelBackend, jobs, cache=None) -> RowActivity:
     jobs = list(jobs)
     fused = getattr(backend, "matrix_many", None)
     if fused is None or not jobs:
-        return matrix_many_loop(backend, jobs, cache=cache)
-    return fused(jobs, cache=cache)
+        return matrix_many_loop(backend, jobs)
+    return fused(jobs)
 
 
 _REGISTRY: dict[str, KernelBackend] = {}
@@ -270,9 +263,7 @@ def get_backend(name: str | None = None) -> KernelBackend:
 from . import numpy_ref       # noqa: E402,F401  (registers numpy-ref)
 from . import numpy_packed    # noqa: E402,F401  (registers numpy-packed)
 
-from .packed_common import PlaneGroupCache  # noqa: E402
-
-__all__ = ["KernelBackend", "KernelJob", "PlaneGroupCache", "RowActivity",
+__all__ = ["KernelBackend", "KernelJob", "RowActivity",
            "register_backend", "unregister_backend",
            "get_backend", "list_backends", "resolve_backend_name",
            "run_many", "matrix_many_loop",

@@ -3,13 +3,12 @@
 Same semantics as ``numpy-ref``, restructured around the shared
 machinery in :mod:`repro.hw.backends.packed_common`:
 
-1. **Packed plane-group fields + a per-key plane cache.**  Each DPU
-   cycle's plane group is sliced out of the sign-magnitude keys as one
-   integer field — ``sign * (|k| & ((2^n - 1) << lo))`` — so the kernel
-   touches O(cycles) small key matrices instead of O(bit-planes) full
-   plane tensors.  With a :class:`~repro.hw.backends.PlaneGroupCache`
-   the pack happens once per key matrix and decode steps append only
-   the new suffix rows.
+1. **Packed plane-group fields.**  Each DPU cycle's plane group is
+   sliced out of the sign-magnitude keys as one integer field — ``sign
+   * (|k| & ((2^n - 1) << lo))`` — so the kernel touches O(cycles)
+   small key matrices instead of O(bit-planes) full plane tensors.
+   Every chunk's keys are packed together, in one vectorised pass over
+   the padded band.
 
 2. **Fused GEMMs.**  All per-cycle plane groups (plus the sign plane
    needed for the margin) stack into a single ``(cycles+1) * S_k x D``
@@ -61,7 +60,7 @@ class NumpyPackedBackend:
     protocol."""
 
     name = "numpy-packed"
-    description = ("packed plane-group cache + fused GEMM + integer "
+    description = ("packed plane-group fields + fused GEMM + integer "
                    "margin scan (>=2x numpy-ref at paper-scale tiles; "
                    "batched matrix_many returns fused row activity)")
 
@@ -72,8 +71,8 @@ class NumpyPackedBackend:
                       valid=valid, margin_scale=margin_scale)
 
     @staticmethod
-    def matrix_many(jobs, cache=None):
-        return fused_matrix_many(jobs, cache=cache)
+    def matrix_many(jobs):
+        return fused_matrix_many(jobs)
 
 
 BACKEND = register_backend(NumpyPackedBackend())

@@ -1,20 +1,8 @@
 """Packed-bitplane machinery behind the ``numpy-packed`` backend.
 
-Two pieces live here:
-
-**Pack-once plane-group caches.**  :func:`pack_planes` turns a key
-matrix into the ``(cycles + 1, S_k, D)`` plane-group stack the fused
-GEMM consumes, and :class:`PlaneGroupCache` memoizes those stacks
-under a caller-supplied identity (stream/layer/head).  During decode K
-only grows by a suffix, so the cache packs just the new rows and
-concatenates; reuse is validated by exact key comparison (full prefix
-``array_equal``), so a changed K — a re-quantization after the peak
-|K| moved, a preemption swap — can never serve stale planes: it simply
-repacks.
-
-**Cross-job fused evaluation.**  :func:`fused_matrix_many` evaluates a
-whole batch of :class:`~repro.hw.backends.KernelJob` tiles and returns
-their :class:`~repro.hw.backends.RowActivity`.  Jobs are grouped by
+:func:`fused_matrix_many` evaluates a whole batch of
+:class:`~repro.hw.backends.KernelJob` tiles and returns their
+:class:`~repro.hw.backends.RowActivity`.  Jobs are grouped by
 everything that must match for the plane schedule to be shared —
 head-dim, magnitude bits, plane-group width, margin scale — then
 banded by power-of-two (S_q, S_k) buckets and zero-padded to the
@@ -29,6 +17,13 @@ rows are reduced in place to per-row counts with axis sums (padding
 counts as invalid), so no per-job score tile is ever sliced out.
 :func:`fused_matrix` runs the same path for one job and returns its
 ``(cycles, pruned, scores)`` tile, the conformance API.
+
+**Key packing.**  Each chunk packs its keys in one pass: the band's
+keys are stacked zero-padded (int16 whenever they fit), and every
+plane-group field of every job is extracted by one vectorised
+``sign * (|k| & mask)`` over the whole stack, zero rows packing to
+zero planes.  There is no cross-call plane cache: repacking a band is
+cheaper than validating and copying cached per-job stacks into it.
 
 Bit-identity is free by construction: every product and partial sum is
 an exact integer inside the float32 (< 2**24) / float64 / int32
@@ -156,11 +151,11 @@ def pack_planes(k: np.ndarray, spec: PlaneSpec) -> np.ndarray:
 
     Returns ``(n_groups + 1, s_k, dim)``: the sign plane first, then
     one per-cycle plane-group field matrix ``sign * (|k| & ((2^n - 1)
-    << lo))`` per magnitude cycle.  Stored in float32 whenever the
-    unscaled fields fit its exact-integer window (always, for groups
-    narrower than 24 planes) so cached stacks feed float32 GEMMs
-    without conversion; the float64 upcast for huge-query chunks is
-    exact either way.
+    << lo))`` per magnitude cycle, in float32 whenever the unscaled
+    fields fit its exact-integer window (always, for groups narrower
+    than 24 planes), else float64.  The kernel packs whole bands
+    itself (see :func:`_stage`); this single-matrix form backs
+    :class:`PlaneGroupCache`.
     """
     k = np.asarray(k, dtype=np.int64)
     signs = np.sign(k)
@@ -184,30 +179,26 @@ class _CacheEntry:
 
 
 class PlaneGroupCache:
-    """Pack-once plane-group cache keyed by stream/layer/head identity.
+    """Pack-once plane-group cache keyed by a caller's identity.
 
     ``planes_for(key, k, spec)`` returns the packed stack for ``k``,
     reusing a cached stack when the key matrix is unchanged and
-    packing only the new suffix rows when K merely grew (the decode
-    case).  Reuse is gated on exact ``array_equal`` prefix
-    validation — any other change (re-quantization, truncation,
-    preemption swap-in) is a miss and repacks, so stale planes are
-    impossible by construction.  Entries are LRU-bounded.
+    packing only the new suffix rows when K merely grew.  Reuse is
+    gated on exact ``array_equal`` prefix validation — any other
+    change is a miss and repacks, so stale planes are impossible by
+    construction.  Entries are LRU-bounded.
 
-    ``counters`` optionally mirrors the tallies into live metrics: a
-    mapping with ``"hit"``/``"extend"``/``"miss"`` values exposing
-    ``inc()`` (:class:`repro.obs.Counter` instances in practice — the
-    serving engine binds ``repro_pack_cache_events_total`` series and
-    hands them in, keeping this module free of any obs import).
+    The kernel does not use it.  It stays only until a benchmark
+    change drops perfbench's pack-cache hit-ratio counter, which wraps
+    ``planes_for`` (ROADMAP item 3).
     """
 
-    def __init__(self, max_entries: int = 256, counters=None):
+    def __init__(self, max_entries: int = 256):
         self.max_entries = max_entries
         self._entries: OrderedDict[Any, _CacheEntry] = OrderedDict()
         self.hits = 0
         self.extended = 0
         self.misses = 0
-        self.counters = counters
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -231,8 +222,6 @@ class PlaneGroupCache:
             old_rows = entry.keys.shape[0]
             if old_rows == k.shape[0] and np.array_equal(entry.keys, k):
                 self.hits += 1
-                if self.counters is not None:
-                    self.counters["hit"].inc()
                 self._entries.move_to_end(key)
                 return entry.stacked
             if 0 < old_rows < k.shape[0] and np.array_equal(
@@ -242,13 +231,9 @@ class PlaneGroupCache:
                     [entry.stacked, suffix], axis=1)
                 entry.keys = k.copy()
                 self.extended += 1
-                if self.counters is not None:
-                    self.counters["extend"].inc()
                 self._entries.move_to_end(key)
                 return entry.stacked
         self.misses += 1
-        if self.counters is not None:
-            self.counters["miss"].inc()
         stacked = pack_planes(k, spec)
         self._entries[key] = _CacheEntry(spec=spec, keys=k.copy(),
                                          stacked=stacked)
@@ -288,7 +273,7 @@ def _integers(values) -> np.ndarray:
     return values if values.dtype.kind == "i" else values.astype(np.int64)
 
 
-def _evaluate(jobs, cache: PlaneGroupCache | None):
+def _evaluate(jobs):
     """Yield ``(spec, chunk)`` for every padded chunk of ``jobs``.
 
     Jobs without queries or keys have no score and are skipped.
@@ -308,16 +293,13 @@ def _evaluate(jobs, cache: PlaneGroupCache | None):
     for (dim, magnitude_bits, group, margin_scale), preps in \
             groups.items():
         spec = plane_spec(magnitude_bits, group)
-        # pow2 shape bands bound padding waste; ascending S_k order
-        # keeps same-key growing-K jobs hitting the pack cache in
-        # prefix order
+        # pow2 shape bands bound padding waste
         bands: dict[tuple[int, int], list[_Prepared]] = {}
         for prep in preps:
             bkey = (1 << (prep.q.shape[0] - 1).bit_length(),
                     1 << (prep.k.shape[0] - 1).bit_length())
             bands.setdefault(bkey, []).append(prep)
-        for bkey in sorted(bands, key=lambda b: (b[1], b[0])):
-            band = bands[bkey]
+        for band in bands.values():
             s_q_pad = max(p.q.shape[0] for p in band)
             s_k_pad = max(p.k.shape[0] for p in band)
             rows_pad = (spec.n_groups + 1) * s_k_pad
@@ -327,12 +309,10 @@ def _evaluate(jobs, cache: PlaneGroupCache | None):
                                    _MAX_CHUNK_ELEMENTS // elements))
             for start in range(0, len(band), per_chunk):
                 yield spec, _scan(band[start:start + per_chunk], spec,
-                                  dim, s_q_pad, s_k_pad, margin_scale,
-                                  cache)
+                                  dim, s_q_pad, s_k_pad, margin_scale)
 
 
-def fused_matrix_many(jobs, cache: PlaneGroupCache | None = None
-                      ) -> RowActivity:
+def fused_matrix_many(jobs) -> RowActivity:
     """Row activity of a batch of kernel jobs, via banded
     block-diagonal GEMMs; bit-identical to the per-job ``matrix``
     loop (:func:`repro.hw.backends.matrix_many_loop`)."""
@@ -341,7 +321,7 @@ def fused_matrix_many(jobs, cache: PlaneGroupCache | None = None
     offsets = np.cumsum(rows) - rows
     counts = np.zeros((4, int(rows.sum())), dtype=np.int64)
     bits = np.zeros(len(jobs), dtype=np.int64)
-    for spec, chunk in _evaluate(jobs, cache):
+    for spec, chunk in _evaluate(jobs):
         _reduce_rows(chunk, spec, offsets, counts, bits)
     return RowActivity(rows, counts, bits)
 
@@ -350,7 +330,7 @@ def fused_matrix(job) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One job's ``(cycles, pruned, scores)`` tile (the
     :meth:`~repro.hw.backends.KernelBackend.matrix` contract)."""
     s_q, s_k = np.shape(job.q)[0], np.shape(job.k)[0]
-    for spec, chunk in _evaluate([job], None):
+    for spec, chunk in _evaluate([job]):
         cycles = (spec.full_cycles
                   - chunk.terminated[0].T).astype(np.int64)
         if job.valid is not None:
@@ -360,14 +340,6 @@ def fused_matrix(job) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (np.zeros((s_q, s_k), dtype=np.int64),
             np.zeros((s_q, s_k), dtype=bool),
             np.zeros((s_q, s_k), dtype=np.float64))
-
-
-def _job_planes(prep: _Prepared, spec: PlaneSpec,
-                cache: PlaneGroupCache | None) -> np.ndarray:
-    key = getattr(prep.job, "pack_key", None)
-    if cache is not None and key is not None:
-        return cache.planes_for(key, prep.k, spec)
-    return pack_planes(prep.k, spec)
 
 
 def _pad_stack(shape: tuple, dtype, parts, padded: bool) -> np.ndarray:
@@ -382,8 +354,7 @@ def _pad_stack(shape: tuple, dtype, parts, padded: bool) -> np.ndarray:
 
 
 def _stage(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
-           s_q_pad: int, s_k_pad: int, padded: bool,
-           cache: PlaneGroupCache | None):
+           s_q_pad: int, s_k_pad: int, padded: bool):
     """Pad a chunk's queries, keys and valid masks and run its GEMMs.
 
     Returns ``(fused, positive, valid, qmax)``: the plane-group
@@ -421,35 +392,25 @@ def _stage(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
         q_stack = _pad_stack(q_stack.shape, np.float64, queries, padded)
         abs_q = np.abs(q_stack)
 
-    # the left operand: every job's plane stack, contiguous
-    shape = (n, n_groups + 1, s_k_pad, dim)
-    if cache is not None and any(
-            getattr(p.job, "pack_key", None) is not None for p in chunk):
-        # per-job plane stacks from the pack-once cache (exact hit or
-        # suffix extension), copied into the padded band
-        planes = _pad_stack(
-            (n, n_groups + 1, s_k_pad * dim), q_stack.dtype,
-            [_job_planes(p, spec, cache).reshape(n_groups + 1, -1)
-             for p in chunk], padded).reshape(shape)
-    else:
-        # pack the whole padded band in one set of vectorised plane
-        # extractions (zero-padded K rows pack to all-zero planes),
-        # in int16 whenever every key's magnitude and mask fits
-        keys = _pad_stack((n, s_k_pad, dim),
-                          np.result_type(*(p.k.dtype for p in chunk)),
-                          [p.k for p in chunk], padded)
-        kmax = max(-int(keys.min()), int(keys.max()),
-                   1 << spec.magnitude_bits)
-        keys = keys.astype(np.int16 if kmax < 1 << 15 else np.int64,
-                           copy=False)
-        # the sign plane, then each cycle's field sign * (|k| & mask)
-        planes = np.empty(shape, dtype=q_stack.dtype)
-        signs = np.sign(keys)
-        planes[:, 0] = signs
-        fields = np.bitwise_and(np.abs(keys, out=keys)[:, None],
-                                spec.field_masks.astype(keys.dtype))
-        np.multiply(fields, signs[:, None], out=planes[:, 1:],
-                    casting="unsafe")
+    # the left operand: every job's plane stack, contiguous, packed
+    # from the whole padded band in one set of vectorised plane
+    # extractions (zero-padded K rows pack to all-zero planes), in
+    # int16 whenever every key's magnitude and mask fits
+    keys = _pad_stack((n, s_k_pad, dim),
+                      np.result_type(*(p.k.dtype for p in chunk)),
+                      [p.k for p in chunk], padded)
+    kmax = max(-int(keys.min()), int(keys.max()),
+               1 << spec.magnitude_bits)
+    keys = keys.astype(np.int16 if kmax < 1 << 15 else np.int64,
+                       copy=False)
+    # the sign plane, then each cycle's field sign * (|k| & mask)
+    planes = np.empty((n, n_groups + 1, s_k_pad, dim), dtype=q_stack.dtype)
+    signs = np.sign(keys)
+    planes[:, 0] = signs
+    fields = np.bitwise_and(np.abs(keys, out=keys)[:, None],
+                            spec.field_masks.astype(keys.dtype))
+    np.multiply(fields, signs[:, None], out=planes[:, 1:],
+                casting="unsafe")
 
     fused = _gemm(planes.reshape(n, (n_groups + 1) * s_k_pad, dim),
                   q_stack).reshape(n, n_groups + 1, s_k_pad, s_q_pad)
@@ -471,8 +432,7 @@ def _buffer_like(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 
 def _scan(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
-          s_q_pad: int, s_k_pad: int, margin_scale: float,
-          cache: PlaneGroupCache | None) -> _Chunk:
+          s_q_pad: int, s_k_pad: int, margin_scale: float) -> _Chunk:
     """The margin/termination scan over one padded chunk, every DPU
     cycle boundary at once.
 
@@ -482,7 +442,7 @@ def _scan(chunk: list[_Prepared], spec: PlaneSpec, dim: int,
     padded = any(p.q.shape[0] < s_q_pad or p.k.shape[0] < s_k_pad
                  for p in chunk)
     fused, positive, valid, qmax = _stage(chunk, spec, dim, s_q_pad,
-                                          s_k_pad, padded, cache)
+                                          s_k_pad, padded)
     n_groups = spec.n_groups
     thresholds = [float(p.job.threshold) for p in chunk]
     margin_bound = (qmax * max(dim, 1)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import (KernelJob, PlaneGroupCache, RowActivity,
-                       get_backend, run_many)
+from .backends import KernelJob, RowActivity, get_backend, run_many
 from .bitserial import serial_cycle_count
 from .config import TileConfig
 from .workload import HeadJob
@@ -84,7 +83,6 @@ class TileSimulator:
     """
 
     def __init__(self, config: TileConfig, backend: str | None = None,
-                 pack_cache: PlaneGroupCache | None = None,
                  profiler=None):
         """``backend`` overrides the kernel backend by registry name;
         otherwise ``config.kernel_backend``, then the
@@ -92,47 +90,35 @@ class TileSimulator:
         :mod:`repro.hw.backends`).  Resolution happens here so a typo
         fails at construction, not mid-run.
 
-        ``pack_cache`` shares a pack-once plane-group cache across
-        runs (the serving engines pass a per-engine cache so decode
-        steps reuse packed keys).  Jobs opt in by carrying a
-        ``pack_key`` in their metadata; backends without a fused tier
-        ignore the cache.  Without one (the default) the fused backend
-        packs each run's keys in one vectorised pass, the cheaper
-        choice when no key matrix recurs.
-
         ``profiler`` (a :class:`repro.obs.KernelProfiler`) opts into
         timing each fused kernel dispatch: backend name, wall time,
-        and how many jobs / distinct plane groups rode the call.
+        and how many jobs rode the call.
         """
         self.config = config
         self.backend = get_backend(backend or config.kernel_backend)
-        self.pack_cache = pack_cache
         self.profiler = profiler
 
     # -- batched kernel dispatch ----------------------------------------
     def _kernel_many(self, jobs: list[HeadJob], quants: list
                      ) -> RowActivity:
         """One ``run_many`` call over every job in the list — fused
-        backends amortize pack/GEMM overhead across the whole step and
-        hand back row activity, not score tiles."""
+        backends pack each band's keys in one pass, amortize GEMM
+        overhead across the whole step and hand back row activity, not
+        score tiles."""
         config = self.config
         kernel_jobs = [
             KernelJob(q=q, k=k, threshold=threshold,
                       magnitude_bits=config.magnitude_bits,
-                      group=config.serial_bits, valid=job.valid,
-                      pack_key=job.metadata.get("pack_key"))
+                      group=config.serial_bits, valid=job.valid)
             for job, (q, k, threshold) in zip(jobs, quants)]
         if self.profiler is None:
-            return run_many(self.backend, kernel_jobs,
-                            cache=self.pack_cache)
+            return run_many(self.backend, kernel_jobs)
         from time import perf_counter
         start = perf_counter()
-        results = run_many(self.backend, kernel_jobs,
-                           cache=self.pack_cache)
+        results = run_many(self.backend, kernel_jobs)
         elapsed = perf_counter() - start
-        groups = len({job.pack_key for job in kernel_jobs})
         self.profiler.record(self.backend.name, jobs=len(kernel_jobs),
-                             groups=groups, elapsed_s=elapsed)
+                             elapsed_s=elapsed)
         return results
 
     # -- scheduling, whole-array reductions over a run's jobs ---------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class HeadJob:
     threshold_float: float | None = None
     layer_index: int = 0
     head: int = 0
-    metadata: dict = field(default_factory=dict)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -100,7 +99,7 @@ def _quantize_stack(arrays, magnitude_bits: int
     return ints.reshape(values.shape), scales.reshape(values.shape[:-2])
 
 
-def jobs_from_records(records, pack_group=None) -> list[HeadJob]:
+def jobs_from_records(records) -> list[HeadJob]:
     """Flatten captured attention records into per-(batch, head) jobs.
 
     Records must have been captured with ``record_qk=True`` so the
@@ -110,14 +109,6 @@ def jobs_from_records(records, pack_group=None) -> list[HeadJob]:
     All Q and K matrices of one shape are quantized in one vectorised
     pass, each with its own peak, exactly as :func:`job_from_arrays`
     quantizes a single job.
-
-    Each job carries a ``pack_key`` — ``(pack_group, layer, batch,
-    head)`` — identifying its key matrix for the pack-once plane
-    caches: across the decode records of one stream the same key sees
-    K grow by a suffix, so packed planes are reused instead of rebuilt
-    per step.  Pass a stable ``pack_group`` (e.g. a stream id) when
-    jobs from different calls should share cache entries; the default
-    ``None`` still distinguishes layers/heads within one call.
     """
     records = list(records)
     # every Q and K activation, grouped by shape: (record, 0 for Q or
@@ -151,14 +142,11 @@ def jobs_from_records(records, pack_group=None) -> list[HeadJob]:
                      if record.valid is None
                      else np.asarray(record.valid[b], dtype=bool))
             for h in range(heads):
-                job = HeadJob(
+                jobs.append(HeadJob(
                     queries=qi[b, h], keys=ki[b, h],
                     threshold=(threshold * float(sq[b, h])
                                * float(sk[b, h])),
                     valid=valid, q_float=q[b, h], k_float=k[b, h],
                     threshold_float=threshold,
-                    layer_index=record.layer_index, head=h)
-                job.metadata["pack_key"] = (
-                    pack_group, record.layer_index, b, h)
-                jobs.append(job)
+                    layer_index=record.layer_index, head=h))
     return jobs

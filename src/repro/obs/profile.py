@@ -3,8 +3,7 @@
 A :class:`KernelProfiler` is handed to ``TileSimulator`` (and threaded
 through ``estimate_many`` / the serving engines); the simulator times
 each fused ``run_many`` kernel call and reports it here together with
-chunking stats — how many jobs rode in the call and how many distinct
-plane groups they spanned.  Aggregation is per backend, so an A/B of
+how many jobs rode in the call.  Aggregation is per backend, so an A/B of
 ``numpy-ref`` vs ``numpy-packed`` falls out of one profiled run.
 
 Timing uses the caller-supplied wall timestamps (``perf_counter`` at
@@ -24,12 +23,11 @@ _KERNEL_TIME_BUCKETS = log_buckets(1e-6, 1.0, per_decade=3)
 
 
 class _BackendStats:
-    __slots__ = ("calls", "jobs", "groups", "elapsed_s", "max_jobs")
+    __slots__ = ("calls", "jobs", "elapsed_s", "max_jobs")
 
     def __init__(self):
         self.calls = 0
         self.jobs = 0
-        self.groups = 0
         self.elapsed_s = 0.0
         self.max_jobs = 0
 
@@ -51,14 +49,12 @@ class KernelProfiler:
         self._m_time = {}
         self._m_jobs = {}
 
-    def record(self, backend: str, jobs: int, groups: int,
-               elapsed_s: float) -> None:
+    def record(self, backend: str, jobs: int, elapsed_s: float) -> None:
         stats = self._by_backend.get(backend)
         if stats is None:
             stats = self._by_backend[backend] = _BackendStats()
         stats.calls += 1
         stats.jobs += jobs
-        stats.groups += groups
         stats.elapsed_s += elapsed_s
         if jobs > stats.max_jobs:
             stats.max_jobs = jobs
@@ -77,14 +73,13 @@ class KernelProfiler:
             self._m_jobs[backend].observe(jobs)
 
     def summary(self) -> dict:
-        """``{backend: {calls, jobs, groups, elapsed_s, ...}}`` with means."""
+        """``{backend: {calls, jobs, elapsed_s, ...}}`` with means."""
         out = {}
         for backend in sorted(self._by_backend):
             stats = self._by_backend[backend]
             out[backend] = {
                 "calls": stats.calls,
                 "jobs": stats.jobs,
-                "plane_groups": stats.groups,
                 "elapsed_s": stats.elapsed_s,
                 "max_jobs_per_call": stats.max_jobs,
                 "mean_jobs_per_call":

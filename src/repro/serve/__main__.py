@@ -301,7 +301,10 @@ def main(argv=None) -> None:
 
     hw_config = None
     if args.kernel_backend:
-        get_backend(args.kernel_backend)      # typo -> error before traffic
+        try:
+            get_backend(args.kernel_backend)  # typo -> error before traffic
+        except KeyError as error:
+            parser.error(error.args[0])
         hw_config = replace(AE_LEOPARD, kernel_backend=args.kernel_backend)
     try:
         # the serving stack's own checks: a one-line error, no traceback

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hw.backends import PlaneGroupCache
 from ..obs.metrics import COUNT_BUCKETS, as_registry
 from ..obs.tracing import as_tracer
 from .batcher import BatchPolicy, CoalescedBatch, DynamicBatcher, \
@@ -322,11 +321,6 @@ class ServingEngine:
         self._tracer = as_tracer(tracer)
         self._profiler = profiler
         self._bind_metrics()
-        # per-engine pack-once plane cache: decode-step estimates of
-        # the same stream reuse packed key bit-planes across steps
-        # (generate streams only; classify estimates run cacheless)
-        self._pack_cache = (PlaneGroupCache(counters=self._pack_counters)
-                            if estimate_hardware else None)
         self._clock = clock
         self._faults = faults
         self._retries = retries
@@ -417,12 +411,6 @@ class ServingEngine:
         # handles for the subsystems this engine constructs; binding
         # unconditionally keeps the series present (at 0) even when the
         # subsystem never materializes, so dashboards don't gap
-        self._pack_counters = {
-            event: m.counter(
-                "repro_pack_cache_events_total",
-                "plane-group cache lookups by outcome",
-                event=event, **labels)
-            for event in ("hit", "extend", "miss")}
         self._kv_counters = {
             event: m.counter(
                 "repro_kv_slot_events_total",
@@ -804,9 +792,7 @@ class ServingEngine:
             # per-step accounting: slice this batch's records into one
             # group per request and charge them in a single shared-
             # simulator pass (each group's estimate is bit-identical
-            # to a solo estimate of that request).  No pack cache: a
-            # classify request's keys never recur, so caching them
-            # would only cost a per-job pack and resident memory
+            # to a solo estimate of that request)
             slices = [[slice_record(r, i, int(batch.lengths[i]),
                                     int(batch.lengths[i]))
                        for r in records]
@@ -1046,8 +1032,6 @@ class ServingEngine:
         if self._estimate_hw and stream.records_by_layer:
             estimate = self.engine.estimate_from_records(
                 stream.flat_records(), self._hw_config,
-                pack_cache=self._pack_cache,
-                pack_group=stream.stream_id,
                 profiler=self._profiler)
             self.stats.hardware.add(estimate)
         stream.evict()

@@ -431,8 +431,20 @@ def main(argv=None) -> None:
                              "trace-event JSON (open in Perfetto); "
                              "byte-identical across --virtual replays")
     args = parser.parse_args(argv)
+    if args.replicas < 1:
+        parser.error("--replicas must be >= 1")
     if args.procs is not None and args.procs < 1:
         parser.error("--procs must be >= 1")
+    try:
+        # the trace's own checks: a one-line error, no traceback
+        trace = TraceSpec(
+            seed=args.seed, requests=args.requests,
+            process=args.process, rate=args.rate,
+            burst_rate=args.burst_rate,
+            prompt_tokens=tuple(args.prompt_tokens),
+            new_tokens=tuple(args.new_tokens))
+    except ValueError as error:
+        parser.error(str(error))
 
     registry = tracer = metrics_server = None
     if args.metrics_dump or args.metrics_port is not None:
@@ -459,12 +471,6 @@ def main(argv=None) -> None:
                if args.ttft_slo is not None else None)
         policy = BatchPolicy(max_batch_size=args.max_batch_size,
                              max_wait=0.0)
-        trace = TraceSpec(
-            seed=args.seed, requests=args.requests,
-            process=args.process, rate=args.rate,
-            burst_rate=args.burst_rate,
-            prompt_tokens=tuple(args.prompt_tokens),
-            new_tokens=tuple(args.new_tokens))
         tier_cls = WorkerTier if args.procs is None else ProcessWorkerTier
         with tier_cls.from_snapshot(
                 directory, replicas=args.procs or args.replicas,

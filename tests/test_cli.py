@@ -10,6 +10,7 @@ import pytest
 
 from repro.serve.__main__ import (build_classifier_engine, build_lm_engine,
                                   main as serve_main)
+from repro.serve.loadgen import main as loadgen_main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -122,6 +123,31 @@ def test_mode_contradicting_snapshot_is_a_clean_error(
 def test_bad_numeric_flags_are_clean_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
         serve_main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_unknown_kernel_backend_is_a_clean_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        serve_main(["--kernel-backend", "nope"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: unknown kernel backend 'nope'" in err
+    assert "numpy-packed" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--replicas", "0"], "--replicas must be >= 1"),
+    (["--requests", "0"], "requests must be >= 1"),
+    (["--prompt-tokens", "5", "2"], "prompt_tokens range must satisfy"),
+    (["--new-tokens", "3", "1"], "new_tokens range must satisfy"),
+], ids=["replicas", "requests", "prompt-tokens", "new-tokens"])
+def test_loadgen_bad_flags_are_clean_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        loadgen_main(["--virtual", *argv])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err

@@ -3,21 +3,20 @@
 The fused cross-job path (and every backend's batched entry point,
 fallback loop included) must return the row activity of calling
 ``matrix`` per job, bit for bit — regardless of how jobs are banded,
-padded, chunked, or whether their packed planes came from a cache.
-These tests pin that contract on randomized mixed-shape job sets
-including every edge case the solo conformance matrix covers
-(all-pruned, empty/partial valid masks, huge-q float64 fallback,
-aggressive margins), plus the pack-once cache's reuse/invalidation
-semantics.
+padded or chunked.  These tests pin that contract on randomized
+mixed-shape job sets including every edge case the solo conformance
+matrix covers (all-pruned, empty/partial valid masks, huge-q float64
+fallback, aggressive margins), plus the standalone
+``PlaneGroupCache``'s reuse/invalidation semantics.
 """
 
 import numpy as np
 import pytest
 
 from repro.hw import backends
-from repro.hw.backends import (KernelJob, PlaneGroupCache,
-                               matrix_many_loop, run_many)
-from repro.hw.backends.packed_common import (fused_matrix_many,
+from repro.hw.backends import KernelJob, matrix_many_loop, run_many
+from repro.hw.backends.packed_common import (PlaneGroupCache,
+                                             fused_matrix_many,
                                              pack_planes, plane_spec)
 
 BACKENDS = ("numpy-ref", "numpy-packed")
@@ -159,27 +158,6 @@ def test_narrow_integer_inputs_match_int64():
     assert_activity_matches(fused_matrix_many(narrow), reference)
 
 
-def test_fused_cached_matches_uncached():
-    """The same job set through a warm pack cache is bit-identical to
-    the cacheless fused path and to the per-job loop."""
-    rng = np.random.default_rng(11)
-    jobs = [KernelJob(q=rng.integers(-2047, 2048, (2, 32)),
-                      k=rng.integers(-2047, 2048, (s_k, 32)),
-                      threshold=float(rng.integers(-5000, 5000)),
-                      magnitude_bits=11, group=2,
-                      pack_key=("stream", i))
-            for i, s_k in enumerate((12, 20, 12, 33, 20, 7))]
-    cache = PlaneGroupCache()
-    cold = fused_matrix_many(jobs, cache=cache)
-    warm = fused_matrix_many(jobs, cache=cache)
-    bare = fused_matrix_many(jobs)
-    loop = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
-    assert_activity_matches(cold, loop, "(cold)")
-    assert_activity_matches(warm, loop, "(warm)")
-    assert_activity_matches(bare, loop, "(bare)")
-    assert cache.stats()["hits"] > 0
-
-
 # ---------------------------------------------------------------------------
 # the float32 GEMM window: qmax * max(2^group - 1, 2) * D < 2^24
 # ---------------------------------------------------------------------------
@@ -201,7 +179,7 @@ def _window_jobs(qmax, rng):
     k_max = np.tile(signs * 2047, (5, 1))
     k_max[1] = -k_max[1]                        # most negative score
     jobs = [KernelJob(q=q_max, k=k_max, threshold=0.0,
-                      magnitude_bits=11, group=2, pack_key=("max", 0))]
+                      magnitude_bits=11, group=2)]
     for index in range(4):
         s_q = int(rng.integers(1, 9))
         s_k = int(rng.integers(1, 24))
@@ -212,15 +190,14 @@ def _window_jobs(qmax, rng):
                  if index == 1 else None)
         jobs.append(KernelJob(
             q=q, k=k, threshold=float(rng.integers(-qmax, qmax) * 3000),
-            magnitude_bits=11, group=2, valid=valid,
-            pack_key=("rand", index)))
+            magnitude_bits=11, group=2, valid=valid))
     grown = rng.integers(-2047, 2048, (12, dim))
     for s_k in (8, 12):                         # K grows by a suffix
         q = rng.integers(-qmax, qmax + 1, (1, dim))
         q[0, 0] = -qmax
         jobs.append(KernelJob(
             q=q, k=grown[:s_k], threshold=0.0, magnitude_bits=11,
-            group=2, pack_key=("grown", 0)))
+            group=2))
     return jobs
 
 
@@ -229,7 +206,7 @@ def test_f32_window_edge_is_bit_identical(qmax, dtype, monkeypatch):
     """On both sides of the float32 window's edge, the packed kernel
     picks the expected GEMM dtype and stays bit-identical to numpy-ref
     through ``matrix`` (the tiles) and ``fused_matrix_many`` (the row
-    activity), cached or not."""
+    activity)."""
     from repro.hw.backends import packed_common
 
     seen = []
@@ -245,23 +222,19 @@ def test_f32_window_edge_is_bit_identical(qmax, dtype, monkeypatch):
     activity = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
     packed = backends.get_backend("numpy-packed")
     solo = matrix_loop(packed, jobs)
-    bare = fused_matrix_many(jobs)
-    cache = PlaneGroupCache()
-    cold = fused_matrix_many(jobs, cache=cache)
-    warm = fused_matrix_many(jobs, cache=cache)
-    assert cache.stats()["hits"] > 0 and cache.stats()["extended"] > 0
+    fused = fused_matrix_many(jobs)
     assert seen and set(seen) == {np.dtype(dtype)}
     for i, expected in enumerate(reference):
         assert_job_matches(solo[i], expected,
                            f"(qmax={qmax}, matrix, job={i})")
-    for name, result in (("bare", bare), ("cold", cold), ("warm", warm)):
-        assert_activity_matches(result, activity, f"(qmax={qmax}, {name})")
+    assert_activity_matches(fused, activity, f"(qmax={qmax}, fused)")
     # the all-maximal tile really reaches the window's bound
     assert reference[0][2].max() == qmax * 2047 * 64
 
 
 # ---------------------------------------------------------------------------
-# pack-once plane-group cache semantics
+# the standalone pack-once plane-group cache (the kernel does not use
+# it; the benchmark harness's layer tracer wraps its planes_for)
 # ---------------------------------------------------------------------------
 
 def test_cache_hit_extend_invalidate():
@@ -326,96 +299,3 @@ def test_cache_lru_eviction_bounds_memory():
     assert len(cache) == 4
     cache.clear()
     assert len(cache) == 0 and cache.stats()["misses"] == 0
-
-
-def test_decode_shaped_reuse_hits_cache():
-    """A growing-K decode loop over several streams mostly extends
-    instead of repacking, and stays bit-identical to cacheless runs."""
-    rng = np.random.default_rng(31)
-    cache = PlaneGroupCache()
-    backend = backends.get_backend("numpy-packed")
-    streams = {s: rng.integers(-2047, 2048, (8, 32)) for s in range(4)}
-    for step in range(6):
-        jobs = []
-        for s, k in streams.items():
-            q = rng.integers(-2047, 2048, (1, 32))
-            jobs.append(KernelJob(q=q, k=k, threshold=500.0,
-                                  magnitude_bits=11, group=2,
-                                  pack_key=("stream", s)))
-        cached = run_many(backend, jobs, cache=cache)
-        plain = matrix_many_loop(backend, jobs)
-        assert_activity_matches(cached, plain, f"(step={step})")
-        streams = {s: np.concatenate(
-            [k, rng.integers(-2047, 2048, (1, 32))])
-            for s, k in streams.items()}
-    stats = cache.stats()
-    assert stats["extended"] >= 4 * 5       # every post-first step
-    assert stats["misses"] == 4             # one cold pack per stream
-
-
-# ---------------------------------------------------------------------------
-# simulator / estimator integration
-# ---------------------------------------------------------------------------
-
-def _recorded_jobs(seed=0):
-    from repro.hw.workload import job_from_arrays
-
-    rng = np.random.default_rng(seed)
-    jobs = []
-    for i in range(5):
-        s = int(rng.integers(2, 7))
-        job = job_from_arrays(rng.standard_normal((s, 16)),
-                              rng.standard_normal((s + 3, 16)),
-                              threshold=-0.5, layer_index=i % 2, head=i)
-        job.metadata["pack_key"] = ("g", i % 2, i)
-        jobs.append(job)
-    return jobs
-
-
-def test_tile_simulator_shared_cache_is_bit_identical():
-    """TileSimulator results do not depend on whether a pack cache is
-    fresh, shared, or pre-warmed by earlier runs."""
-    from repro.hw import AE_LEOPARD, TileSimulator
-
-    jobs = _recorded_jobs()
-    solo = TileSimulator(AE_LEOPARD, backend="numpy-packed").run(jobs)
-    shared_cache = PlaneGroupCache()
-    shared = TileSimulator(AE_LEOPARD, backend="numpy-packed",
-                           pack_cache=shared_cache)
-    first = shared.run(jobs)
-    warm = shared.run(jobs)         # second run: all planes cached
-    assert shared_cache.stats()["hits"] > 0
-    for result in (first, warm):
-        assert result.total_cycles == solo.total_cycles
-        assert vars(result.counters) == vars(solo.counters)
-
-
-def test_estimate_many_pack_groups_are_bit_identical():
-    """estimate_many with a persistent cache and stable pack groups
-    returns the same estimates as solo estimate_from_records calls."""
-    import repro.serve.__main__ as serve_main
-    from repro.hw import AE_LEOPARD
-
-    engine = serve_main.build_classifier_engine()
-    groups = []
-    for seed in (0, 1):
-        rng = np.random.default_rng(seed)
-        inputs = rng.integers(0, 64, (1, 6))
-        mask = np.ones((1, 6), dtype=bool)
-        _, records = engine.run_recorded(
-            lambda: engine.logits_for(inputs, mask))
-        groups.append(records)
-    from dataclasses import replace
-    config = replace(AE_LEOPARD, kernel_backend="numpy-packed")
-    cache = PlaneGroupCache()
-    batched = engine.estimate_many(groups, config, pack_cache=cache,
-                                   pack_groups=["a", "b"])
-    # repeat with the warm cache: decode-style reuse, same numbers
-    warm = engine.estimate_many(groups, config, pack_cache=cache,
-                                pack_groups=["a", "b"])
-    solos = [engine.estimate_from_records(records, config)
-             for records in groups]
-    assert cache.stats()["hits"] > 0
-    for estimate, again, solo in zip(batched, warm, solos):
-        assert estimate == solo
-        assert again == solo

@@ -155,9 +155,9 @@ def test_trace_recorder_tracks_and_export(tmp_path):
 def test_kernel_profiler_aggregates_per_backend():
     registry = MetricsRegistry()
     profiler = KernelProfiler(registry=registry)
-    profiler.record("numpy-packed", jobs=4, groups=2, elapsed_s=1e-4)
-    profiler.record("numpy-packed", jobs=8, groups=1, elapsed_s=3e-4)
-    profiler.record("numpy-ref", jobs=2, groups=2, elapsed_s=2e-4)
+    profiler.record("numpy-packed", jobs=4, elapsed_s=1e-4)
+    profiler.record("numpy-packed", jobs=8, elapsed_s=3e-4)
+    profiler.record("numpy-ref", jobs=2, elapsed_s=2e-4)
     summary = profiler.summary()
     assert list(summary) == ["numpy-packed", "numpy-ref"]
     row = summary["numpy-packed"]

@@ -260,46 +260,54 @@ def test_traffic_totals_aggregate_per_request():
 
 @pytest.mark.parametrize("threshold", [0.0, 0.3, -0.3, 5e4],
                          ids=["zero", "+0.3", "-0.3", "past-int32"])
-def test_classify_estimates_bypass_pack_cache(threshold):
-    """Classify keys never recur, so hardware estimates of classify
-    traffic leave the engine's pack cache untouched (no entries, no
-    lookups) — and still equal solo estimates and the numpy-ref
-    oracle, at zero, small and huge learned thresholds (the last puts
-    the integer-domain threshold past 2^30, where the kernel's scan
-    leaves int32 for float64).  Generate streams keep using the cache
-    at finalize."""
+def test_served_estimates_match_oracle(threshold):
+    """Hardware estimates of served traffic equal solo estimates and
+    the numpy-ref oracle, at zero, small and huge learned thresholds
+    (the last puts the integer-domain threshold past 2^30, where the
+    kernel's scan leaves int32 for float64): classify requests
+    coalesced four to a batch, and generate streams served four at a
+    time and under preemption."""
     import dataclasses
 
     from repro.hw import AE_LEOPARD
     from repro.hw.workload import jobs_from_records
+
+    oracle = dataclasses.replace(AE_LEOPARD, kernel_backend="numpy-ref")
+
+    def assert_matches_oracle(engine, result):
+        reference = engine.estimate_from_records(result.records, oracle)
+        assert dataclasses.replace(
+            result.hardware, kernel_backend="numpy-ref") == reference
 
     engine = make_classifier_engine(0)
     engine.controller.set_threshold_values(np.full(2, threshold))
     rng = np.random.default_rng(13)
     requests = [rng.integers(0, 50, size=int(n))
                 for n in rng.integers(1, MAX_SEQ + 1, size=9)]
-    batched, serving = serve_classify(engine, requests, max_batch_size=4)
+    batched, _ = serve_classify(engine, requests, max_batch_size=4)
     solo, _ = serve_classify(engine, requests, max_batch_size=1)
-    assert serving._pack_cache.stats() == {
-        "hits": 0, "extended": 0, "misses": 0, "entries": 0}
-    oracle = dataclasses.replace(AE_LEOPARD, kernel_backend="numpy-ref")
     for got, expected in zip(batched, solo):
         assert got.hardware == expected.hardware
-        reference = engine.estimate_from_records(got.records, oracle)
-        assert dataclasses.replace(
-            got.hardware, kernel_backend="numpy-ref") == reference
+        assert_matches_oracle(engine, got)
     peak = max(abs(job.threshold) for got in batched
                for job in jobs_from_records(got.records))
     assert (peak >= 2 ** 30) == (threshold == 5e4)
 
-    # the fused kernel is the one that reads the cache, whatever
-    # backend the environment selects
-    streams = ServingEngine(
-        make_lm_engine(0), BatchPolicy(max_batch_size=2, max_wait=0.0),
-        estimate_hardware=True,
-        hw_config=dataclasses.replace(AE_LEOPARD,
-                                      kernel_backend="numpy-packed"))
-    streams.open_stream(rng.integers(0, 40, size=5), 3)
-    streams.drain()
-    stats = streams._pack_cache.stats()
-    assert stats["misses"] > 0 and stats["entries"] > 0
+    lm = make_lm_engine(0)
+    lm.controller.set_threshold_values(np.full(2, threshold))
+    prompts = [rng.integers(1, 40, size=int(n))
+               for n in rng.integers(1, 9, size=6)]
+    solo, _ = serve_streams(lm, prompts, 4, max_batch_size=1)
+    batched, _ = serve_streams(lm, prompts, 4, max_batch_size=4)
+    preempting = ServingEngine(
+        lm, BatchPolicy(max_batch_size=2, max_wait=0.0),
+        estimate_hardware=True, preempt_after=2)
+    ids = [preempting.open_stream(p, 4) for p in prompts]
+    preempting.drain()
+    preempted = [preempting.finish(i) for i in ids]
+    assert preempting.stats.preemptions > 0
+    for expected, *served in zip(solo, batched, preempted):
+        assert expected.hardware is not None
+        for got in served:
+            assert got.hardware == expected.hardware
+        assert_matches_oracle(lm, expected)
