@@ -315,6 +315,10 @@ def main(argv=None) -> None:
         check_new_tokens(args.new_tokens)
     except ValueError as error:
         parser.error(str(error))
+    if args.requests < 1:
+        parser.error("--requests must be >= 1")
+    if args.streams < 1:
+        parser.error("--streams must be >= 1")
     if args.replicas < 1:
         parser.error("--replicas must be >= 1")
     if args.procs is not None:

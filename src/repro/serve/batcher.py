@@ -47,8 +47,9 @@ class BatchPolicy:
     def __post_init__(self):
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait < 0:
-            raise ValueError("max_wait must be >= 0")
+        if not self.max_wait >= 0:          # NaN fails this too
+            raise ValueError(f"max_wait must be >= 0 seconds, "
+                             f"got {self.max_wait}")
 
 
 @dataclass

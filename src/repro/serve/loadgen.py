@@ -364,7 +364,7 @@ def print_report(report: LoadReport, label: str = "loadgen") -> None:
 def main(argv=None) -> None:
     from .batcher import BatchPolicy
     from .procworkers import ProcessWorkerTier
-    from .scheduler import SLOAdmission
+    from .scheduler import SchedulerConfig, SLOAdmission
     from .workers import WorkerTier
     from .__main__ import build_lm_engine
 
@@ -435,14 +435,24 @@ def main(argv=None) -> None:
         parser.error("--replicas must be >= 1")
     if args.procs is not None and args.procs < 1:
         parser.error("--procs must be >= 1")
+    if args.layers < 1:
+        parser.error("--layers must be >= 1")
+    if args.dim < 2 or args.dim % 2:
+        parser.error("--dim must be a positive even number (the toy "
+                     "LM has 2 attention heads)")
     try:
-        # the trace's own checks: a one-line error, no traceback
+        # the trace's and the serving stack's own checks: a one-line
+        # error, no traceback
         trace = TraceSpec(
             seed=args.seed, requests=args.requests,
             process=args.process, rate=args.rate,
             burst_rate=args.burst_rate,
             prompt_tokens=tuple(args.prompt_tokens),
             new_tokens=tuple(args.new_tokens))
+        policy = BatchPolicy(max_batch_size=args.max_batch_size,
+                             max_wait=0.0)
+        SchedulerConfig(max_slots=args.max_batch_size,
+                        step_token_budget=args.step_token_budget)
     except ValueError as error:
         parser.error(str(error))
 
@@ -469,8 +479,6 @@ def main(argv=None) -> None:
         clock = VirtualClock() if args.virtual else time.monotonic
         slo = (SLOAdmission(ttft_target=args.ttft_slo)
                if args.ttft_slo is not None else None)
-        policy = BatchPolicy(max_batch_size=args.max_batch_size,
-                             max_wait=0.0)
         tier_cls = WorkerTier if args.procs is None else ProcessWorkerTier
         with tier_cls.from_snapshot(
                 directory, replicas=args.procs or args.replicas,

@@ -37,6 +37,34 @@ metrics snapshot and a trace-event delta — so there is no per-request
 chatter.  In-process workers publish straight into the tier's
 registry and tracer instead.
 
+**Run-ahead.**  A forked worker on the wall clock (it reads its own
+``time.monotonic``, the tier's timebase) does not sit idle between its
+step reply and the next step message.  As soon as it has replied to a
+``step`` and its engine still has work a step would do now — a live
+stream, or a classify batch already due — it runs its next engine
+step and holds the ids that step completed.  The next ``step``
+message is answered from the held step, with no second engine step,
+and the worker then runs ahead again; a ``flush`` returns the held ids
+plus its own.  The engine step so overlaps the parent's reply
+handling, the callers' new submissions and the wake-ups on both ends
+of the socket.  The contract:
+
+* one engine step per step message, plus at most one held step: the
+  worker's ``ServingStats.steps`` is at most its step messages plus one;
+* a step message's ``now`` applies only when no step is held — a held
+  step read the worker's own clock — and a submission that lands while
+  a step is held joins the step after it;
+* ``finish`` and ``cancel`` are answered in message order, after any
+  held step ends; a request the held step completed can be finished
+  before the next step reply reports it;
+* an exception in a held step ends the worker with its last words,
+  like one in a handled message, and the tier reroutes its in-flight
+  requests.
+
+Virtual-clock workers (pinned to the parent's ``now``) and the inline
+link stay lockstep, so deterministic replays and their traces do not
+move.
+
 **Zero-copy snapshot sharing.**  With ``mmap=True`` (the default for
 worker processes) every replica rebuilds its
 :class:`~repro.core.PrunedInferenceEngine` with
@@ -158,11 +186,18 @@ def _build_engine(directory: str, index: int, spec: dict, clock,
 class _Worker:
     """One replica's side of the protocol: its engine, the maps
     between engine and tier request ids, the failure results it made
-    itself, and how much of its trace it has shipped.  ``pin`` is the
-    clock to set from each message's ``now`` (virtual-clock worker
-    processes only); ``registry`` and ``tracer`` are a worker
-    process's own, shipped back in every step reply — an in-process
-    worker's engine publishes into the tier's and ships nothing."""
+    itself, the ids a run-ahead step completed, and how much of its
+    trace it has shipped.  ``pin`` is the clock to set from each
+    message's ``now`` (virtual-clock worker processes only);
+    ``registry`` and ``tracer`` are a worker process's own, shipped
+    back in every step reply — an in-process worker's engine publishes
+    into the tier's and ships nothing.
+
+    :meth:`handle` serves one message.  :meth:`run_ahead` is called
+    only by the loop of a wall-clock worker process, after each
+    ``step`` reply: the held step it may run answers the next ``step``
+    message (see the module docstring for the contract).  The inline
+    link and pinned workers never call it, so they stay lockstep."""
 
     def __init__(self, engine: ServingEngine,
                  pin: _SettableClock | None = None,
@@ -174,6 +209,7 @@ class _Worker:
         self._tier_ids: dict[int, int] = {}     # engine id -> tier id
         self._engine_ids: dict[int, int] = {}   # tier id -> engine id
         self._failed: list = []                 # (tier id, result) made here
+        self._held: list[int] | None = None     # ids of a run-ahead step
         self._traced = 0                        # trace events shipped
 
     def hello(self) -> tuple:
@@ -241,10 +277,27 @@ class _Worker:
         result.request_id = tier_id
         return result
 
+    def run_ahead(self) -> None:
+        """Run the next engine step now, before its step message, if
+        the engine has work a step would do at once (a live stream or
+        a due classify batch); hold the ids it completes for the next
+        ``step`` or ``flush`` reply.  The engine reads its own clock,
+        ``time.monotonic``."""
+        engine = self.engine
+        if engine.streams_pending() or engine.queue_ready(time.monotonic()):
+            self._held = engine.step()
+
     def _step(self, op: str, payload: dict) -> dict:
         engine = self.engine
-        done = engine.step(payload["now"]) if op == "step" \
-            else engine.flush()
+        held, self._held = self._held, None
+        if op == "flush":
+            done = (held or []) + engine.flush()
+        elif held is None:
+            done = engine.step(payload["now"])
+        else:
+            # the held step stands in for this one; requests cancelled
+            # since it ran are reported now, as a lockstep step would
+            done = held + engine._drain_instant()
         completed, self._failed = self._failed, []
         for eid in done:
             tier_id = self._tier_ids.pop(eid, None)
@@ -278,7 +331,8 @@ class _Worker:
 def _worker_main(sock: socket.socket, directory: str, index: int,
                  spec: dict) -> None:
     """Worker process entry: build one engine from the shared snapshot,
-    then serve protocol messages until shutdown.  Exits hard with
+    then serve protocol messages until shutdown, running ahead after
+    each step reply on the wall clock.  Exits hard with
     ``os._exit`` so a forked pytest process never runs the parent's
     teardown machinery."""
     try:
@@ -304,6 +358,8 @@ def _worker_main(sock: socket.socket, directory: str, index: int,
                 _send(sock, reply)
             if op == "shutdown":
                 return
+            if op == "step" and pin is None:
+                worker.run_ahead()
     except (WorkerDied, KeyboardInterrupt):
         os._exit(1)
     except BaseException as error:             # noqa: BLE001 — last words

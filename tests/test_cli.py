@@ -119,7 +119,13 @@ def test_mode_contradicting_snapshot_is_a_clean_error(
     (["--max-wait", "-1"], "max_wait must be >= 0"),
     (["--new-tokens", "0"], "max_new_tokens must be >= 1"),
     (["--preempt-after", "0"], "preempt_after must be >= 1"),
-], ids=["max-batch-size", "max-wait", "new-tokens", "preempt-after"])
+    (["--max-wait", "nan"], "max_wait must be >= 0 seconds, got nan"),
+    (["--mode", "classify", "--requests", "-1"],
+     "--requests must be >= 1"),
+    (["--requests", "0"], "--requests must be >= 1"),
+    (["--streams", "0"], "--streams must be >= 1"),
+], ids=["max-batch-size", "max-wait", "new-tokens", "preempt-after",
+        "max-wait-nan", "requests-negative", "requests", "streams"])
 def test_bad_numeric_flags_are_clean_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
         serve_main(argv)
@@ -144,7 +150,13 @@ def test_unknown_kernel_backend_is_a_clean_error(capsys):
     (["--requests", "0"], "requests must be >= 1"),
     (["--prompt-tokens", "5", "2"], "prompt_tokens range must satisfy"),
     (["--new-tokens", "3", "1"], "new_tokens range must satisfy"),
-], ids=["replicas", "requests", "prompt-tokens", "new-tokens"])
+    (["--max-batch-size", "0"], "max_batch_size must be >= 1"),
+    (["--step-token-budget", "0"], "step_token_budget must be >= 1"),
+    (["--layers", "0"], "--layers must be >= 1"),
+    (["--dim", "0"], "--dim must be a positive even number"),
+    (["--dim", "3"], "--dim must be a positive even number"),
+], ids=["replicas", "requests", "prompt-tokens", "new-tokens",
+        "max-batch-size", "step-token-budget", "layers", "dim", "dim-odd"])
 def test_loadgen_bad_flags_are_clean_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
         loadgen_main(["--virtual", *argv])

@@ -337,6 +337,178 @@ def test_async_front_door_over_tiers(snapshot, tmp_path, tier_cls):
 
 
 # ---------------------------------------------------------------------------
+# run-ahead: wall-clock worker processes step before the step message
+# ---------------------------------------------------------------------------
+
+def make_wall_tier(directory, replicas=1):
+    """A wall-clock process tier: its workers read their own clocks,
+    so each runs its next engine step ahead of the step message."""
+    return ProcessWorkerTier.from_snapshot(
+        directory, replicas=replicas,
+        policy=BatchPolicy(max_batch_size=4, max_wait=0.0),
+        estimate_hardware=True, step_token_budget=16)
+
+
+def assert_matches_solo(result, expected):
+    assert result.ok and result.kind == expected.kind
+    np.testing.assert_array_equal(result.logits, expected.logits)
+    if expected.kind == "generate":
+        np.testing.assert_array_equal(result.tokens, expected.tokens)
+    else:
+        assert result.prediction == expected.prediction
+    assert_records_identical(result.records, expected.records)
+    # HardwareEstimate is a frozen dataclass: == compares every field
+    assert expected.hardware is not None
+    assert result.hardware == expected.hardware
+
+
+def serve_alone(directory, request):
+    """``request`` (a prompt and a budget, or classify inputs) served
+    alone on a fresh solo engine."""
+    solo = make_solo(directory)
+    prompt, max_new_tokens = request
+    request_id = (solo.open_stream(prompt, max_new_tokens)
+                  if max_new_tokens else solo.submit(prompt))
+    solo.drain()
+    return solo.finish(request_id)
+
+
+@needs_fork
+@pytest.mark.parametrize("replicas", [1, 2])
+@pytest.mark.parametrize("kind", ["generate", "classify"])
+def test_run_ahead_serves_bit_identically_to_solo(snapshot, tmp_path,
+                                                  replicas, kind):
+    """Streams and classify requests sent in waves between steps, so
+    some land while a worker holds a step, come back bit-identical to
+    solo runs — every HardwareEstimate field included."""
+    directory = snapshot
+    if kind == "classify":
+        from tests.test_serving import make_classifier_engine
+
+        directory = str(tmp_path / "classifier")
+        make_classifier_engine(0).save(directory)
+    rng = np.random.default_rng(replicas)
+    requests = [(rng.integers(1, VOCAB, size=int(rng.integers(3, 9))),
+                 int(rng.integers(2, 9)) if kind == "generate" else 0)
+                for _ in range(12)]
+    ids = {}
+    with make_wall_tier(directory, replicas) as tier:
+        for wave in range(0, len(requests), 3):
+            for index in range(wave, wave + 3):
+                prompt, max_new_tokens = requests[index]
+                request_id = (tier.open_stream(prompt, max_new_tokens)
+                              if max_new_tokens else tier.submit(prompt))
+                ids[request_id] = index
+            tier.step()
+        tier.drain()
+        results = {ids[i]: tier.finish(i) for i in ids}
+        assert tier.kv_slots_in_use() == 0
+    for index, request in enumerate(requests):
+        assert_matches_solo(results[index], serve_alone(directory,
+                                                        request))
+
+
+@needs_fork
+def test_worker_runs_one_step_ahead_of_the_step_messages(snapshot):
+    """After N step messages with work pending, a wall-clock worker has
+    run N + 1 engine steps: the held one answers the next message.  A
+    flush (no scheduler step of its own) reports the count."""
+    with make_wall_tier(snapshot) as tier:
+        ids = [tier.open_stream(np.arange(1, 5, dtype=np.int64), 12)
+               for _ in range(2)]
+        for n in range(1, 4):
+            assert tier.step() == []
+            assert tier.stats["worker0"].steps == n
+        tier.flush()
+        assert tier.stats["worker0"].steps == 4
+        messages = 3
+        while tier.has_pending():
+            tier.step()
+            messages += 1
+        assert all(tier.finish(i).ok for i in ids)
+        assert tier.stats["worker0"].steps <= messages + 1
+
+
+@needs_fork
+def test_finish_and_cancel_while_a_step_is_held(snapshot):
+    """``finish`` collects a stream the held step completed — before
+    any step reply reports it — and ``cancel`` stops a stream while a
+    step is held, reported by the next step reply."""
+    prompt = np.arange(1, 5, dtype=np.int64)
+    with make_wall_tier(snapshot) as tier:
+        # a 3-token stream takes two engine steps: the step message
+        # runs the first, the worker runs the second ahead of the next
+        done_early = tier.open_stream(prompt, 3)
+        assert tier.step() == []
+        result = tier.finish(done_early)
+        assert len(result.tokens) == len(prompt) + 3
+        assert_matches_solo(result, serve_alone(snapshot, (prompt, 3)))
+        assert not tier.has_pending()
+        assert tier.step() == []          # the held id is not reported
+
+        live = tier.open_stream(prompt, 12)
+        assert tier.step() == []
+        assert tier.cancel(live)
+        assert tier.step() == [live]
+        assert tier.result(live).reason == REASON_CANCELLED
+        assert tier.cancel(live) is False
+        assert tier.kv_slots_in_use() == 0
+        assert not tier.has_pending()
+
+
+@needs_fork
+def test_kill_of_a_worker_holding_a_step_reroutes_without_leaks(
+        snapshot):
+    rng = np.random.default_rng(1)
+    prompts = [rng.integers(1, VOCAB, size=5) for _ in range(6)]
+    with make_wall_tier(snapshot, replicas=2) as tier:
+        ids = [tier.open_stream(prompt, 6) for prompt in prompts]
+        tier.step()          # both workers now run their next step ahead
+        proc = tier._links[0].proc
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join(timeout=5)
+        tier.drain()
+        results = [tier.finish(i) for i in ids]
+        assert tier.kv_slots_in_use() == 0
+        assert tier.outstanding_tokens() == 0
+        summary = tier.stats_summary()
+        assert summary["workers"]["worker0"]["health"] == "quarantined"
+        assert summary["workers"]["worker1"]["kv_slots_in_use"] == 0
+    for prompt, result in zip(prompts, results):
+        assert_matches_solo(result, serve_alone(snapshot, (prompt, 6)))
+
+
+@needs_fork
+def test_exception_in_a_held_step_reroutes_bit_identically(snapshot,
+                                                          monkeypatch):
+    """worker0's engine raises in its second step, the one it runs
+    ahead: its last words reach the tier at the next step message and
+    its streams finish on worker1, bit-identical to solo runs."""
+    original = ServingEngine.step
+
+    def step(engine, now=None):
+        if engine.name == "worker0" and engine.stats.steps >= 1:
+            raise RuntimeError("injected held-step failure")
+        return original(engine, now)
+
+    monkeypatch.setattr(ServingEngine, "step", step)   # forks inherit it
+    rng = np.random.default_rng(2)
+    prompts = [rng.integers(1, VOCAB, size=5) for _ in range(4)]
+    with make_wall_tier(snapshot, replicas=2) as tier:
+        ids = [tier.open_stream(prompt, 6) for prompt in prompts]
+        assert {tier._routes[i] for i in ids} == {0, 1}
+        tier.step()
+        tier.drain()
+        results = [tier.finish(i) for i in ids]
+        summary = tier.stats_summary()
+        assert summary["workers"]["worker0"]["health"] == "quarantined"
+        assert tier.kv_slots_in_use() == 0
+    monkeypatch.undo()
+    for prompt, result in zip(prompts, results):
+        assert_matches_solo(result, serve_alone(snapshot, (prompt, 6)))
+
+
+# ---------------------------------------------------------------------------
 # lifecycle: shutdown, surface, validation
 # ---------------------------------------------------------------------------
 
