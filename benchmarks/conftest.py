@@ -13,12 +13,6 @@ Opt into persistence and sharding via the environment:
     shard the cold training sweep across N worker processes (needs
     ``REPRO_CACHE_DIR``; ignored without it).
 
-``REPRO_KERNEL_BACKEND=name``
-    run every hardware simulation in the session through one kernel
-    backend (``repro.hw.backends``); the whole figure suite is a
-    cross-layer conformance run for that backend, since every figure's
-    assertions must still hold.  Unknown names fail at collection.
-
 ``BENCH_WORKLOADS`` is a representative cross-suite subset — one run of
 ``pytest benchmarks/ --benchmark-only`` finishes in a few minutes.  Use
 ``examples/paper_experiments.py --full all`` for the full 43-task sweep.
@@ -31,25 +25,10 @@ import pytest
 from repro.eval.experiments import REPRESENTATIVE_WORKLOADS
 from repro.eval.runner import WorkloadCache
 from repro.eval.workloads import QUICK
-from repro.hw.backends import get_backend
 
 # the single source of truth lives next to the experiments so the
 # cache fixture and `workloads=None` defaults always train the same set
 BENCH_WORKLOADS = list(REPRESENTATIVE_WORKLOADS)
-
-
-def pytest_report_header(config):
-    return (f"repro kernel backend: {get_backend().name} "
-            f"(REPRO_KERNEL_BACKEND="
-            f"{os.environ.get('REPRO_KERNEL_BACKEND', '<unset>')})")
-
-
-@pytest.fixture(scope="session")
-def kernel_backend():
-    """The session's selected kernel backend (resolves the
-    ``REPRO_KERNEL_BACKEND`` env var; a typo fails here, before any
-    workload trains)."""
-    return get_backend()
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ requiring identical results at each rung:
 
 * the vectorized kernel beats the per-element scalar trace by >= 10x
   on a realistic tile;
-* the ``numpy-packed`` backend beats ``numpy-ref`` by >= 2x at a
+* the packed kernel beats its ``numpy-ref`` oracle by >= 2x at a
   paper-scale S=512 tile (the CI gate for the packed fast path);
 * the fused ``matrix_many`` path beats the per-job ``matrix`` loop by
   >= 1.1x on a serving-shaped decode mix (the regression floor for
@@ -22,8 +22,8 @@ import time
 import numpy as np
 
 from repro.eval import record_bench
-from repro.hw.backends import (KernelJob, get_backend, matrix_many_loop,
-                               run_many)
+from repro.hw.backends import KernelJob, matrix_many_loop, numpy_ref
+from repro.hw.backends.packed_common import fused_matrix_many
 from repro.hw.bitserial import bitserial_cycles_matrix, bitserial_dot_product
 
 TILE = 48
@@ -90,25 +90,24 @@ def _best_of(fn, rounds: int = 5) -> float:
 
 
 def test_packed_backend_speedup_at_paper_scale():
-    """CI gate: ``numpy-packed`` must hold >= 2x over ``numpy-ref`` at
+    """CI gate: the packed kernel must hold >= 2x over ``numpy-ref`` at
     S_q = S_k = 512 while staying bit-identical."""
     rng = np.random.default_rng(1)
     q = rng.integers(-2047, 2048, (PAPER_TILE, DIM))
     k = rng.integers(-2047, 2048, (PAPER_TILE, DIM))
     threshold = 120_000.0
-    ref = get_backend("numpy-ref")
-    packed = get_backend("numpy-packed")
-
-    ref_result = ref.matrix(q, k, threshold, MAGNITUDE_BITS, GROUP)
-    packed_result = packed.matrix(q, k, threshold, MAGNITUDE_BITS, GROUP)
+    ref_result = numpy_ref.matrix(q, k, threshold, MAGNITUDE_BITS, GROUP)
+    packed_result = bitserial_cycles_matrix(q, k, threshold,
+                                            MAGNITUDE_BITS, GROUP)
     for ours, theirs, name in zip(packed_result, ref_result,
                                   ("cycles", "pruned", "scores")):
         np.testing.assert_array_equal(ours, theirs, err_msg=name)
 
     ref_seconds = _best_of(
-        lambda: ref.matrix(q, k, threshold, MAGNITUDE_BITS, GROUP))
+        lambda: numpy_ref.matrix(q, k, threshold, MAGNITUDE_BITS, GROUP))
     packed_seconds = _best_of(
-        lambda: packed.matrix(q, k, threshold, MAGNITUDE_BITS, GROUP))
+        lambda: bitserial_cycles_matrix(q, k, threshold, MAGNITUDE_BITS,
+                                        GROUP))
     speedup = ref_seconds / packed_seconds
     print(f"\nnumpy-packed {packed_seconds * 1e3:.1f} ms vs numpy-ref "
           f"{ref_seconds * 1e3:.1f} ms at S={PAPER_TILE} "
@@ -125,7 +124,8 @@ def test_packed_backend_speedup_at_paper_scale():
 def _serving_step_jobs(streams: int = 96):
     """A decode-regime serving step: one short-q job per live stream
     against that stream's grown key cache (mixed context lengths,
-    shared head dim) — the shape ``run_many`` fuses in production."""
+    shared head dim) — the shape the tile simulator fuses in
+    production."""
     rng = np.random.default_rng(2)
     jobs = []
     for stream in range(streams):
@@ -163,19 +163,18 @@ def test_fused_many_speedup_at_serving_shapes():
     """CI gate: on a decode-shaped job mix, fused ``matrix_many`` must
     hold >= 1.1x over the per-job loop while staying bit-identical to
     it.  The speedup is the median of interleaved per-round ratios."""
-    packed = get_backend("numpy-packed")
     jobs = _serving_step_jobs()
 
-    loop_results = matrix_many_loop(packed, jobs)
-    fused_results = run_many(packed, jobs)
+    loop_results = matrix_many_loop(bitserial_cycles_matrix, jobs)
+    fused_results = fused_matrix_many(jobs)
     for name in ("rows", "counts", "bits"):
         np.testing.assert_array_equal(getattr(fused_results, name),
                                       getattr(loop_results, name),
                                       err_msg=name)
 
     seconds = _interleaved_seconds({
-        "loop": lambda: matrix_many_loop(packed, jobs),
-        "fused": lambda: run_many(packed, jobs)})
+        "loop": lambda: matrix_many_loop(bitserial_cycles_matrix, jobs),
+        "fused": lambda: fused_matrix_many(jobs)})
     loop_seconds, fused_seconds = (
         float(np.median(seconds[name])) for name in ("loop", "fused"))
     speedup = float(np.median(seconds["loop"] / seconds["fused"]))

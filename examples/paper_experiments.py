@@ -16,7 +16,6 @@ Run:
 """
 
 import argparse
-import os
 import sys
 import tempfile
 import time
@@ -45,9 +44,6 @@ def _parse_args(argv):
                         help="run every workload whose suite matches "
                              "this glob (e.g. memn2n, 'bert*') — same "
                              "selection as python -m repro.eval.sweep")
-    parser.add_argument("--kernel-backend", default=None,
-                        help="bit-serial kernel backend for all "
-                             "hardware simulation (repro.hw.backends)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel training worker processes for the "
                              "workload sweep")
@@ -92,16 +88,6 @@ def _parse_args(argv):
         workloads = list_workloads()          # the full 43-task registry
     else:
         workloads = list(REPRESENTATIVE_WORKLOADS)
-
-    if args.kernel_backend:
-        from repro.hw import get_backend
-        try:
-            get_backend(args.kernel_backend)  # fail fast on a typo
-        except KeyError as error:
-            parser.error(str(error))
-        # the env var reaches every TileSimulator in this process and
-        # in --jobs worker processes alike
-        os.environ["REPRO_KERNEL_BACKEND"] = args.kernel_backend
 
     if args.no_cache and args.cache_dir:
         parser.error("--no-cache and --cache-dir are mutually exclusive")

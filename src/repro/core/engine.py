@@ -9,7 +9,6 @@ from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
-from ..hw.backends import DEFAULT_BACKEND
 from ..tensor import no_grad
 
 #: (sidecar path, npz stamp) -> {name: read-only memmap array}.  A second
@@ -124,9 +123,6 @@ class HardwareEstimate:
     # across coalesced batches, not just per-batch ratios
     energy_pj: float = 0.0
     baseline_energy_pj: float = 0.0
-    # which kernel backend (repro.hw.backends) produced the estimate —
-    # serving metadata keeps hardware numbers attributable/reproducible
-    kernel_backend: str = DEFAULT_BACKEND
 
 
 class PrunedInferenceEngine:
@@ -326,6 +322,5 @@ class PrunedInferenceEngine:
                 pruning_rate=ours.pruning_rate,
                 energy_pj=ours_energy,
                 baseline_energy_pj=base_energy,
-                kernel_backend=simulator.backend.name,
             ))
         return estimates

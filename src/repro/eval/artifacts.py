@@ -69,15 +69,8 @@ def bench_provenance() -> dict:
     Recorded automatically on every :func:`record_bench` run."""
     import platform
 
-    from ..hw.backends import resolve_backend_name
-
-    try:
-        backend = resolve_backend_name(None)
-    except Exception:                    # noqa: BLE001 — env override
-        backend = None                   # naming a missing backend
     return {
         "git_sha": _git_sha(),
-        "kernel_backend": backend,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
@@ -96,9 +89,9 @@ def record_bench(name: str, metrics: dict, context: dict | None = None,
 
     The file holds ``{"schema": 1, "name": ..., "runs": [...]}``; each
     call appends ``{"metrics": ..., "context": ..., "provenance":
-    ...}`` — provenance (git SHA, kernel backend, python/numpy
-    versions) is stamped automatically so accumulated runs from
-    different commits stay tellable apart.  Reruns in one CI job
+    ...}`` — provenance (git SHA, python/numpy versions) is stamped
+    automatically so accumulated runs from different commits stay
+    tellable apart.  Reruns in one CI job
     accumulate rather than overwrite, and the write is atomic (temp
     file + rename) so a crashed run never leaves a truncated artifact.
     """
@@ -222,9 +215,7 @@ def main(argv=None) -> None:
     for side, payload in (("baseline", base), ("candidate", cand)):
         provenance = payload["runs"][args.run].get("provenance") or {}
         sha = provenance.get("git_sha") or "unknown"
-        backend = provenance.get("kernel_backend") or "unknown"
-        print(f"# {side}: {payload['name']} @ {str(sha)[:12]} "
-              f"(kernel {backend})")
+        print(f"# {side}: {payload['name']} @ {str(sha)[:12]}")
     width = max((len(m) for m in table), default=6)
     print(f"{'metric':<{width}}  {'baseline':>12}  {'candidate':>12}  "
           f"{'delta':>12}  {'ratio':>8}")

@@ -1,9 +1,7 @@
-"""Hardware model: bit-serial kernels (pluggable backends), tile
-simulator, energy & area."""
+"""Hardware model: the bit-serial kernel (packed fast path plus its
+``numpy-ref`` oracle), tile simulator, energy & area."""
 
 from .area import AreaBreakdown, AreaModel
-from .backends import (KernelBackend, get_backend, list_backends,
-                       register_backend)
 from .bitserial import (bitserial_cycles_matrix, bitserial_dot_product,
                         serial_cycle_count)
 from .config import AE_LEOPARD, HP_LEOPARD, TileConfig, baseline_like
@@ -17,5 +15,4 @@ __all__ = ["bitserial_dot_product", "bitserial_cycles_matrix",
            "baseline_like", "TileSimulator", "TileRunResult", "TileCounters",
            "EnergyModel", "EnergyBreakdown", "AreaModel", "AreaBreakdown",
            "HeadJob", "job_from_arrays", "jobs_from_records", "trace_job",
-           "PipelineTrace", "KernelBackend", "register_backend",
-           "get_backend", "list_backends"]
+           "PipelineTrace"]

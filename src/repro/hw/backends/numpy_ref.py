@@ -1,12 +1,13 @@
-"""``numpy-ref``: the reference vectorized bit-plane kernel.
+"""``numpy-ref``: the reference vectorized bit-plane kernel, the test
+oracle of the packed kernel the simulator runs.
 
-This is the original hot-path implementation from
-``repro.hw.bitserial`` moved behind the backend interface: one batched
-plane-contribution einsum, a grouped cumulative sum for the partial
-sums, and a closed-form conservative margin per plane group.  It
-defines the semantics every other backend must reproduce bit-for-bit,
-so keep it simple and obviously correct — performance work belongs in
-``numpy-packed``.
+One batched plane-contribution einsum, a grouped cumulative sum for
+the partial sums, and a closed-form conservative margin per plane
+group.  It defines the semantics the packed kernel must reproduce
+bit-for-bit, so keep it simple and obviously correct — performance
+work belongs in :mod:`~repro.hw.backends.packed_common`.  Tests run
+the simulator on it by monkeypatching ``repro.hw.tile.kernel`` to
+:func:`matrix_many`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..bitserial import _plane_schedule
-from . import register_backend
+from . import RowActivity, matrix_many_loop
 
 
 def matrix(q, k, threshold: float, magnitude_bits: int, group: int,
@@ -79,19 +80,7 @@ def matrix(q, k, threshold: float, magnitude_bits: int, group: int,
     return cycles, pruned, scores
 
 
-class NumpyReferenceBackend:
-    """Reference einsum kernel behind the :class:`KernelBackend`
-    protocol."""
-
-    name = "numpy-ref"
-    description = ("reference O(bit-planes) einsum kernel "
-                   "(defines the semantics)")
-
-    @staticmethod
-    def matrix(q, k, threshold, magnitude_bits, group, valid=None,
-               margin_scale=1.0):
-        return matrix(q, k, threshold, magnitude_bits, group,
-                      valid=valid, margin_scale=margin_scale)
-
-
-BACKEND = register_backend(NumpyReferenceBackend())
+def matrix_many(jobs) -> RowActivity:
+    """Row activity of each job's :func:`matrix` tile (the oracle of
+    the fused ``packed_common.fused_matrix_many``)."""
+    return matrix_many_loop(matrix, jobs)

@@ -1,4 +1,4 @@
-"""Packed-bitplane machinery behind the ``numpy-packed`` backend.
+"""The packed-bitplane bit-serial kernel (``numpy-packed``).
 
 :func:`fused_matrix_many` evaluates a whole batch of
 :class:`~repro.hw.backends.KernelJob` tiles and returns their
@@ -328,7 +328,7 @@ def fused_matrix_many(jobs) -> RowActivity:
 
 def fused_matrix(job) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One job's ``(cycles, pruned, scores)`` tile (the
-    :meth:`~repro.hw.backends.KernelBackend.matrix` contract)."""
+    :func:`~repro.hw.bitserial.bitserial_cycles_matrix` contract)."""
     s_q, s_k = np.shape(job.q)[0], np.shape(job.k)[0]
     for spec, chunk in _evaluate([job]):
         cycles = (spec.full_cycles

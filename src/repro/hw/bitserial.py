@@ -5,15 +5,13 @@ Two entry points into the same hardware semantics:
 
 * ``bitserial_dot_product`` — the scalar reference trace, kept for the
   walkthrough/exactness demos.  One Python iteration per cycle, full
-  per-cycle history.  This trace *defines* the semantics every matrix
-  backend must reproduce bit-for-bit.
+  per-cycle history.  This trace *defines* the semantics both matrix
+  kernels must reproduce bit-for-bit.
 * ``bitserial_cycles_matrix`` — the hot path.  Evaluates an entire
-  S_q x S_k score tile through a pluggable kernel backend
-  (:mod:`repro.hw.backends`): ``numpy-packed``, the packed-bitplane
-  fast path, is the default; ``numpy-ref``, the original
-  O(bit-planes) einsum kernel, is the test oracle.  Select with the
-  ``backend=`` argument, ``TileConfig.kernel_backend``, or the
-  ``REPRO_KERNEL_BACKEND`` environment variable.
+  S_q x S_k score tile with the packed-bitplane kernel
+  (:mod:`repro.hw.backends.packed_common`); the original O(bit-planes)
+  einsum kernel, ``repro.hw.backends.numpy_ref.matrix``, is its test
+  oracle.
 
 Semantics: keys are sign-magnitude with ``magnitude_bits`` magnitude
 bits, processed MSB-first in groups of ``group`` bit-planes per cycle;
@@ -107,13 +105,12 @@ def bitserial_dot_product(q, k, threshold: float, magnitude_bits: int,
 
 
 # ---------------------------------------------------------------------------
-# vectorized bit-plane kernel (the hot path, backend-dispatched)
+# vectorized bit-plane kernel (the hot path)
 # ---------------------------------------------------------------------------
 
 def bitserial_cycles_matrix(q, k, threshold: float, magnitude_bits: int,
                             group: int, valid: np.ndarray | None = None,
-                            margin_scale: float = 1.0,
-                            backend: str | None = None
+                            margin_scale: float = 1.0
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Early-termination cycle counts for a whole score tile.
 
@@ -131,17 +128,14 @@ def bitserial_cycles_matrix(q, k, threshold: float, magnitude_bits: int,
       exactly; smaller margins terminate earlier but may wrongly prune.
     * ``scores`` — the exact integer dot products, as float64.
 
-    ``backend`` picks the kernel implementation by registry name
-    (:mod:`repro.hw.backends`); ``None`` follows the
-    ``REPRO_KERNEL_BACKEND`` environment variable and defaults to
-    ``numpy-packed``, whose GEMMs run in float32 while
-    ``qmax * (2^group - 1) * D < 2^24`` and in float64 past it.  Every
-    registered backend returns results bit-identical to the
-    ``numpy-ref`` oracle on integer inputs whose scores stay inside
-    float64's exact-integer window.
+    The packed kernel's GEMMs run in float32 while
+    ``qmax * (2^group - 1) * D < 2^24`` and in float64 past it; results
+    are bit-identical to the ``numpy-ref`` oracle on integer inputs
+    whose scores stay inside float64's exact-integer window.
     """
-    from .backends import get_backend
+    from .backends import KernelJob
+    from .backends.packed_common import fused_matrix
 
-    return get_backend(backend).matrix(
-        q, k, threshold, magnitude_bits, group, valid=valid,
-        margin_scale=margin_scale)
+    return fused_matrix(KernelJob(
+        q=q, k=k, threshold=threshold, magnitude_bits=magnitude_bits,
+        group=group, valid=valid, margin_scale=margin_scale))

@@ -19,9 +19,6 @@ class TileConfig:
     early_termination: bool = True    # front end stops below-Th scores
     softmax_latency: int = 3          # V-PU per-row pipeline overhead
     vpu_cycles_per_score: int = 1     # V-PU cycles per surviving score
-    # kernel backend evaluating this tile's Q·K schedule (registry name
-    # from repro.hw.backends); None follows $REPRO_KERNEL_BACKEND
-    kernel_backend: str | None = None
 
     @property
     def magnitude_bits(self) -> int:

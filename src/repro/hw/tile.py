@@ -12,6 +12,10 @@ each job's exact scores and full schedules are reduced to the same row
 activity.  A tile with neither early termination nor runtime pruning
 (the baseline) needs no kernel at all: its activity follows in closed
 form from each row's count of valid keys.
+
+The kernel is :data:`kernel`, the packed-bitplane
+``fused_matrix_many``; tests run the simulator on the ``numpy-ref``
+oracle by monkeypatching that name to ``numpy_ref.matrix_many``.
 """
 
 from __future__ import annotations
@@ -20,10 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import KernelJob, RowActivity, get_backend, run_many
+from .backends import KernelJob, RowActivity, run_many
+from .backends.packed_common import fused_matrix_many
 from .bitserial import serial_cycle_count
 from .config import TileConfig
 from .workload import HeadJob
+
+#: the batched Q·K kernel every early-termination run dispatches to
+kernel = fused_matrix_many
 
 
 @dataclass
@@ -73,37 +81,27 @@ class TileRunResult:
 class TileSimulator:
     """Simulates job lists on one tile configuration.
 
-    The early-termination schedule comes from the configured kernel
-    backend (:mod:`repro.hw.backends`): ``numpy-packed`` by default,
-    whose float32 GEMMs are exact while ``qmax * (2^serial_bits - 1) *
-    D < 2^24`` (every serving shape), with ``numpy-ref`` kept as the
-    oracle it is pinned against.  The baseline tile
-    (:func:`~repro.hw.config.baseline_like`) is computed in closed form
-    from ``valid`` counts and reports ``scores_pruned == 0``.
+    The early-termination schedule comes from the packed kernel
+    (:data:`kernel`), whose float32 GEMMs are exact while ``qmax *
+    (2^serial_bits - 1) * D < 2^24`` (every serving shape).  The
+    baseline tile (:func:`~repro.hw.config.baseline_like`) is computed
+    in closed form from ``valid`` counts and reports ``scores_pruned ==
+    0``.
     """
 
-    def __init__(self, config: TileConfig, backend: str | None = None,
-                 profiler=None):
-        """``backend`` overrides the kernel backend by registry name;
-        otherwise ``config.kernel_backend``, then the
-        ``REPRO_KERNEL_BACKEND`` environment variable, decide (see
-        :mod:`repro.hw.backends`).  Resolution happens here so a typo
-        fails at construction, not mid-run.
-
-        ``profiler`` (a :class:`repro.obs.KernelProfiler`) opts into
-        timing each fused kernel dispatch: backend name, wall time,
-        and how many jobs rode the call.
-        """
+    def __init__(self, config: TileConfig, profiler=None):
+        """``profiler`` (a :class:`repro.obs.KernelProfiler`) opts into
+        timing each fused kernel dispatch: wall time and how many jobs
+        rode the call."""
         self.config = config
-        self.backend = get_backend(backend or config.kernel_backend)
         self.profiler = profiler
 
     # -- batched kernel dispatch ----------------------------------------
     def _kernel_many(self, jobs: list[HeadJob], quants: list
                      ) -> RowActivity:
-        """One ``run_many`` call over every job in the list — fused
-        backends pack each band's keys in one pass, amortize GEMM
-        overhead across the whole step and hand back row activity, not
+        """One ``run_many`` call over every job in the list — the fused
+        kernel packs each band's keys in one pass, amortizes GEMM
+        overhead across the whole step and hands back row activity, not
         score tiles."""
         config = self.config
         kernel_jobs = [
@@ -112,13 +110,12 @@ class TileSimulator:
                       group=config.serial_bits, valid=job.valid)
             for job, (q, k, threshold) in zip(jobs, quants)]
         if self.profiler is None:
-            return run_many(self.backend, kernel_jobs)
+            return run_many(kernel, kernel_jobs)
         from time import perf_counter
         start = perf_counter()
-        results = run_many(self.backend, kernel_jobs)
+        results = run_many(kernel, kernel_jobs)
         elapsed = perf_counter() - start
-        self.profiler.record(self.backend.name, jobs=len(kernel_jobs),
-                             elapsed_s=elapsed)
+        self.profiler.record(jobs=len(kernel_jobs), elapsed_s=elapsed)
         return results
 
     # -- scheduling, whole-array reductions over a run's jobs ---------
@@ -152,8 +149,8 @@ class TileSimulator:
 
     def _run_pruning(self, jobs: list[HeadJob]):
         """Activity of a tile with early termination and/or runtime
-        pruning, from the row activity of every job: the kernel
-        backend's with early termination, else that of every valid
+        pruning, from the row activity of every job: the kernel's
+        with early termination, else that of every valid
         score's full schedule and exact score."""
         config = self.config
         quants = [job.quantized_for(config.magnitude_bits)

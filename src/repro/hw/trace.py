@@ -35,8 +35,7 @@ class PipelineTrace:
 def trace_job(job: HeadJob, config: TileConfig) -> PipelineTrace:
     cycles, pruned, _ = bitserial_cycles_matrix(
         job.queries, job.keys, job.threshold,
-        config.magnitude_bits, config.serial_bits, valid=job.valid,
-        backend=config.kernel_backend)
+        config.magnitude_bits, config.serial_bits, valid=job.valid)
     num_rows, num_keys = job.shape
     lanes = config.num_qk_dpus
     lane_timelines = ["" for _ in range(lanes)]

@@ -14,9 +14,9 @@ Four pieces, all dependency-free and opt-in:
 * :mod:`repro.obs.http` — Prometheus-text exposition over HTTP: an
   asyncio endpoint that mounts next to the serving front door, and a
   background-thread server for synchronous CLIs.
-* :mod:`repro.obs.profile` — kernel profiling hooks: per-backend
-  GEMM wall time and job/group chunking stats from the tile
-  simulator's batched kernel dispatch.
+* :mod:`repro.obs.profile` — kernel profiling hooks: GEMM wall time
+  and per-call job counts from the tile simulator's batched kernel
+  dispatch.
 
 Everything a virtual-clock replay records is derived from the
 injected clock, so metrics snapshots and trace exports replay
@@ -38,7 +38,7 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
 
 def __getattr__(name):
     # lazy: the HTTP pieces pull in asyncio/http.server, which pure
-    # metric consumers (hw backends, the eval store) never need
+    # metric consumers (the hw kernel, the eval store) never need
     if name in ("MetricsEndpoint", "start_metrics_server"):
         from . import http
         return getattr(http, name)

@@ -10,20 +10,16 @@ dynamic batcher and prints per-request results plus aggregate
 hardware accounting (cycles and energy charged per request even
 though the traffic was served coalesced).  Streams run on the
 step-planned continuous scheduler (``--preempt-after`` enables
-preemption under queue pressure); ``--kernel-backend`` picks which
-bit-serial kernel backend produces the hardware estimates; each
-estimate records the backend that made it.
+preemption under queue pressure).
 """
 
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 
 import numpy as np
 
 from ..core import PrunedInferenceEngine
-from ..hw import AE_LEOPARD, get_backend
 from ..models import (ClassifierConfig, LMConfig, TransformerClassifier,
                       TransformerLM)
 from . import BatchPolicy, SchedulerConfig, ServingEngine
@@ -73,10 +69,9 @@ def engine_kind(engine: PrunedInferenceEngine) -> str:
             else "classify")
 
 
-def make_serving(args, engine, hw_config,
-                 name: str | None = None) -> ServingEngine:
+def make_serving(args, engine, name: str | None = None) -> ServingEngine:
     return ServingEngine(
-        engine, args.policy, estimate_hardware=True, hw_config=hw_config,
+        engine, args.policy, estimate_hardware=True,
         preempt_after=args.preempt_after,
         registry=args.obs_registry, tracer=args.obs_tracer, name=name)
 
@@ -104,8 +99,7 @@ def print_classify(result) -> None:
     print(f"  request {result.request_id}: class {result.prediction}  "
           f"batch of {result.batch_sizes[0]}  "
           f"{hw.runtime_ns:8.1f} ns ({hw.speedup_vs_baseline:.2f}x "
-          f"vs baseline, pruning {hw.pruning_rate:.0%}, "
-          f"kernel {hw.kernel_backend})")
+          f"vs baseline, pruning {hw.pruning_rate:.0%})")
 
 
 def print_stream(result) -> None:
@@ -113,8 +107,7 @@ def print_stream(result) -> None:
     print(f"  stream {result.request_id}: {len(result.tokens)} tokens "
           f"{result.tokens[:8].tolist()}...  coalesced with up to "
           f"{max(result.batch_sizes)} streams  "
-          f"{hw.runtime_ns:8.1f} ns ({hw.speedup_vs_baseline:.2f}x, "
-          f"kernel {hw.kernel_backend})")
+          f"{hw.runtime_ns:8.1f} ns ({hw.speedup_vs_baseline:.2f}x)")
 
 
 def print_reason_stats(name: str, stats, health: str | None = None
@@ -131,10 +124,9 @@ def print_reason_stats(name: str, stats, health: str | None = None
     print(line)
 
 
-def classify_demo(args, engine: PrunedInferenceEngine,
-                  hw_config) -> None:
+def classify_demo(args, engine: PrunedInferenceEngine) -> None:
     print("== one-shot classification traffic ==")
-    serving = make_serving(args, engine, hw_config, name="classifier")
+    serving = make_serving(args, engine, name="classifier")
     rng = np.random.default_rng(args.seed)
     ids = [serving.submit(inputs) for inputs
            in _random_requests(args, engine.model.config, rng)]
@@ -153,11 +145,10 @@ def classify_demo(args, engine: PrunedInferenceEngine,
     print()
 
 
-def generate_demo(args, engine: PrunedInferenceEngine,
-                  hw_config) -> None:
+def generate_demo(args, engine: PrunedInferenceEngine) -> None:
     print("== concurrent generation streams (continuous scheduler, "
           "KV slot buffer) ==")
-    serving = make_serving(args, engine, hw_config, name="lm")
+    serving = make_serving(args, engine, name="lm")
     rng = np.random.default_rng(args.seed)
     ids = [serving.open_stream(prompt, max_new_tokens=args.new_tokens)
            for prompt in _random_prompts(args, engine.model.config, rng)]
@@ -180,7 +171,7 @@ def generate_demo(args, engine: PrunedInferenceEngine,
         print_reason_stats("lm", stats)
 
 
-def tier_demo(args, directory: str, hw_config) -> None:
+def tier_demo(args, directory: str) -> None:
     from .procworkers import ProcessWorkerTier
     from .workers import WorkerTier
 
@@ -194,8 +185,7 @@ def tier_demo(args, directory: str, hw_config) -> None:
               "least-loaded routing) ==")
     with tier_cls.from_snapshot(
             directory, replicas=replicas, policy=args.policy,
-            estimate_hardware=True, hw_config=hw_config,
-            preempt_after=args.preempt_after,
+            estimate_hardware=True, preempt_after=args.preempt_after,
             registry=args.obs_registry, tracer=args.obs_tracer) as tier:
         # traffic shape follows the model, as on the single-engine path
         config = tier.handshake["config"]
@@ -274,9 +264,6 @@ def main(argv=None) -> None:
                         help="print per-engine terminal-reason counters "
                              "(and per-replica health in a tier) after "
                              "each demo")
-    parser.add_argument("--kernel-backend", default=None,
-                        help="bit-serial kernel backend for hardware "
-                             "estimates (see repro.hw.backends)")
     parser.add_argument("--metrics-dump", action="store_true",
                         help="print the Prometheus-text metrics "
                              "exposition after the demo (non-server "
@@ -299,13 +286,6 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    hw_config = None
-    if args.kernel_backend:
-        try:
-            get_backend(args.kernel_backend)  # typo -> error before traffic
-        except KeyError as error:
-            parser.error(error.args[0])
-        hw_config = replace(AE_LEOPARD, kernel_backend=args.kernel_backend)
     try:
         # the serving stack's own checks: a one-line error, no traceback
         args.policy = BatchPolicy(max_batch_size=args.max_batch_size,
@@ -356,7 +336,7 @@ def main(argv=None) -> None:
         print(f"[metrics] serving http://127.0.0.1:"
               f"{metrics_server.server_address[1]}/metrics")
     try:
-        _dispatch(args, hw_config, engine)
+        _dispatch(args, engine)
     finally:
         if metrics_server is not None:
             if args.metrics_linger > 0:
@@ -371,7 +351,7 @@ def main(argv=None) -> None:
             print(args.obs_registry.exposition(), end="")
 
 
-def _dispatch(args, hw_config, engine) -> None:
+def _dispatch(args, engine) -> None:
     """Serve the snapshot ``engine`` (loaded from ``--engine-dir``), or
     the toy models ``--mode`` names, on one engine or a tier."""
     tier = args.replicas > 1 or args.procs is not None
@@ -380,9 +360,9 @@ def _dispatch(args, hw_config, engine) -> None:
         print(f"[engine] {args.engine_dir}: "
               f"{type(engine.model).__name__} ({kind} traffic)")
         if tier:
-            tier_demo(args, args.engine_dir, hw_config)
+            tier_demo(args, args.engine_dir)
         else:
-            DEMOS[kind](args, engine, hw_config)
+            DEMOS[kind](args, engine)
         return
     for kind in [args.mode] if args.mode in TOYS else list(TOYS):
         toy = TOYS[kind](args.seed)
@@ -390,9 +370,9 @@ def _dispatch(args, hw_config, engine) -> None:
             import tempfile
             with tempfile.TemporaryDirectory() as scratch:
                 toy.save(scratch)
-                tier_demo(args, scratch, hw_config)
+                tier_demo(args, scratch)
         else:
-            DEMOS[kind](args, toy, hw_config)
+            DEMOS[kind](args, toy)
 
 
 if __name__ == "__main__":

@@ -94,8 +94,12 @@ class TraceSpec:
             raise ValueError("requests must be >= 1")
         if self.process not in ("poisson", "bursty"):
             raise ValueError(f"unknown arrival process {self.process!r}")
-        if min(self.rate, self.burst_rate) <= 0:
-            raise ValueError("arrival rates must be > 0")
+        # NaN would pass "<= 0" and turn every arrival time into NaN
+        if not all(np.isfinite(r) and r > 0
+                   for r in (self.rate, self.burst_rate)):
+            raise ValueError(f"arrival rates must be finite and > 0, got "
+                             f"rate={self.rate}, "
+                             f"burst_rate={self.burst_rate}")
         for name, (lo, hi) in (("prompt_tokens", self.prompt_tokens),
                                ("new_tokens", self.new_tokens)):
             if not 1 <= lo <= hi:
@@ -453,6 +457,8 @@ def main(argv=None) -> None:
                              max_wait=0.0)
         SchedulerConfig(max_slots=args.max_batch_size,
                         step_token_budget=args.step_token_budget)
+        slo = (SLOAdmission(ttft_target=args.ttft_slo)
+               if args.ttft_slo is not None else None)
     except ValueError as error:
         parser.error(str(error))
 
@@ -477,8 +483,6 @@ def main(argv=None) -> None:
             build_lm_engine(args.seed, dim=args.dim,
                             num_layers=args.layers).save(directory)
         clock = VirtualClock() if args.virtual else time.monotonic
-        slo = (SLOAdmission(ttft_target=args.ttft_slo)
-               if args.ttft_slo is not None else None)
         tier_cls = WorkerTier if args.procs is None else ProcessWorkerTier
         with tier_cls.from_snapshot(
                 directory, replicas=args.procs or args.replicas,

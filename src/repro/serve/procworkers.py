@@ -821,16 +821,17 @@ class ProcessWorkerTier:
         worker's last step reply.
 
         ``{"tier": {...}, "workers": {"worker0": {...}, ...}}`` — the
-        tier entry sums terminal-reason counts, reliability tallies and
-        live load signals across every replica (the numbers
+        tier entry sums terminal-reason counts and reliability tallies
+        across every replica, and live load signals across the live
+        ones (the numbers
         ``python -m repro.serve --stats --replicas N`` prints), and
         each worker row adds a coarse ``health`` verdict: ``ok`` until
         the worker has contained forward errors, then ``erroring``; a
         dead worker keeps its last numbers under ``quarantined``."""
-        keys = ("completed", "shed", "errors", "retries", "preemptions",
-                "outstanding_tokens", "kv_slots_in_use", "queue_depth")
+        counts = ("completed", "shed", "errors", "retries", "preemptions")
+        live = ("outstanding_tokens", "kv_slots_in_use", "queue_depth")
         tier = {"replicas": self._replicas, "reasons": {},
-                **dict.fromkeys(keys, 0)}
+                **dict.fromkeys(counts + live, 0)}
         rows = {}
         for index in range(self._replicas):
             state = self._state.get(index, {})
@@ -854,7 +855,8 @@ class ProcessWorkerTier:
             for reason, count in row["reasons"].items():
                 tier["reasons"][reason] = (tier["reasons"].get(reason, 0)
                                            + count)
-            for key in keys:
+            # a dead worker's load is gone with it; its history is not
+            for key in counts if index in self._dead else counts + live:
                 tier[key] += row[key]
         return {"tier": tier, "workers": rows}
 

@@ -228,12 +228,14 @@ class SLOAdmission:
             "predicted TTFT at admission time", **labels)
 
     def __post_init__(self):
-        if self.ttft_target is not None and self.ttft_target <= 0:
-            raise ValueError("ttft_target must be > 0 (or None)")
-        if self.tbt_target is not None and self.tbt_target <= 0:
-            raise ValueError("tbt_target must be > 0 (or None)")
-        if self.step_time <= 0:
-            raise ValueError("step_time must be > 0")
+        # "not > 0" also rejects NaN, which compares False to anything
+        for name in ("ttft_target", "tbt_target"):
+            target = getattr(self, name)
+            if target is not None and not target > 0:
+                raise ValueError(f"{name} must be > 0 seconds (or None), "
+                                 f"got {target}")
+        if not self.step_time > 0:
+            raise ValueError(f"step_time must be > 0, got {self.step_time}")
         if not 0 < self.smoothing <= 1:
             raise ValueError("smoothing must be in (0, 1]")
 

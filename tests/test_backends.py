@@ -1,26 +1,29 @@
-"""Kernel-backend conformance matrix.
+"""Kernel conformance: the packed kernel and its ``numpy-ref`` oracle.
 
-Every registered backend must return ``(cycles, pruned, scores)``
-bit-identical to the scalar reference trace
-(``bitserial_dot_product``) — these tests pin that contract on
-randomized tiles and on the edge cases the tile simulator actually
-hits (sign-only first cycles, over-wide groups, fully-pruned tiles,
-empty/partial valid masks, aggressive margins).
+Both kernels must return ``(cycles, pruned, scores)`` bit-identical to
+the scalar reference trace (``bitserial_dot_product``) — these tests
+pin that contract on randomized tiles and on the edge cases the tile
+simulator actually hits (sign-only first cycles, over-wide groups,
+fully-pruned tiles, empty/partial valid masks, aggressive margins).
+``test_estimates_match_oracle`` pins it where it matters: whole
+hardware estimates, run on the packed kernel and again on the oracle.
 """
 
 import numpy as np
 import pytest
 
-from repro.hw import backends
+from repro.hw.backends import numpy_ref
 from repro.hw.bitserial import (bitserial_cycles_matrix,
                                 bitserial_dot_product, serial_cycle_count)
 
-BACKENDS = ("numpy-ref", "numpy-packed")
+# the one-tile entry point of each kernel
+KERNELS = {"numpy-ref": numpy_ref.matrix,
+           "numpy-packed": bitserial_cycles_matrix}
+BACKENDS = list(KERNELS)
 
 
 def run(name, q, k, threshold, magnitude_bits, group, **kwargs):
-    return backends.get_backend(name).matrix(
-        q, k, threshold, magnitude_bits, group, **kwargs)
+    return KERNELS[name](q, k, threshold, magnitude_bits, group, **kwargs)
 
 
 def scalar_reference(q, k, threshold, magnitude_bits, group):
@@ -185,7 +188,7 @@ def test_margin_scale_below_one_misprune_accounting(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_matches_tile_simulator_shapes(backend):
     """The exact call shape TileSimulator makes (12-bit datapath,
-    serial_bits group, causal valid) agrees across backends."""
+    serial_bits group, causal valid) agrees across kernels."""
     rng = np.random.default_rng(29)
     q = rng.integers(-2047, 2048, (10, 64))
     k = rng.integers(-2047, 2048, (10, 64))
@@ -196,136 +199,102 @@ def test_matches_tile_simulator_shapes(backend):
 
 
 # ---------------------------------------------------------------------------
-# registry behavior
+# whole estimates: the simulator on the packed kernel vs on the oracle
 # ---------------------------------------------------------------------------
 
-def test_registry_lists_numpy_backends():
-    names = backends.list_backends()
-    assert "numpy-ref" in names
-    assert "numpy-packed" in names
+def _classify_records():
+    """Per-request attention records of classify traffic coalesced
+    four to a batch (padded, mixed lengths)."""
+    from tests.test_serving import (MAX_SEQ, make_classifier_engine,
+                                    serve_classify)
+
+    engine = make_classifier_engine(0)
+    rng = np.random.default_rng(13)
+    requests = [rng.integers(0, 50, size=int(n))
+                for n in rng.integers(1, MAX_SEQ + 1, size=6)]
+    results, _ = serve_classify(engine, requests, max_batch_size=4)
+    return engine, [result.records for result in results]
 
 
-def test_unknown_backend_raises_with_choices():
-    with pytest.raises(KeyError, match="numpy-ref"):
-        backends.get_backend("not-a-backend")
+def _decode_records():
+    """Per-stream records of LM streams served four at a time: each
+    stream's prefill plus one record per layer per decode step."""
+    from tests.test_serving import make_lm_engine, serve_streams
+
+    engine = make_lm_engine(0)
+    engine.controller.set_threshold_values(np.full(2, -0.3))
+    rng = np.random.default_rng(5)
+    prompts = [rng.integers(1, 40, size=int(n))
+               for n in rng.integers(1, 9, size=5)]
+    results, _ = serve_streams(engine, prompts, 6, max_batch_size=4)
+    return engine, [result.records for result in results]
 
 
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(backends.ENV_VAR, "numpy-packed")
-    assert backends.get_backend().name == "numpy-packed"
-    monkeypatch.setenv(backends.ENV_VAR, "typo")
-    with pytest.raises(KeyError, match="typo"):
-        backends.get_backend()
-    monkeypatch.delenv(backends.ENV_VAR)
-    assert backends.get_backend().name == backends.DEFAULT_BACKEND
+def _paper_scale_records():
+    """One causal S = 512 head (the paper's long-sequence regime)."""
+    from repro.models.attention import AttentionRecord
+    from tests.test_serving import make_classifier_engine
 
-
-def test_explicit_name_beats_env_var(monkeypatch):
-    monkeypatch.setenv(backends.ENV_VAR, "numpy-packed")
-    assert backends.get_backend("numpy-ref").name == "numpy-ref"
-
-
-def test_dispatcher_backend_argument():
     rng = np.random.default_rng(3)
-    q = rng.integers(-100, 100, (4, 8))
-    k = rng.integers(-100, 100, (4, 8))
-    for name in backends.list_backends():
-        result = bitserial_cycles_matrix(q, k, 50.0, 6, 2, backend=name)
-        expected = bitserial_cycles_matrix(q, k, 50.0, 6, 2)
-        assert_matches(result, expected, f"(backend={name})")
+    q, k = rng.standard_normal((2, 1, 1, 512, 64))
+    record = AttentionRecord(
+        layer_index=0, scores=q @ k.swapaxes(-1, -2), pruned_mask=None,
+        threshold=0.5, valid=np.tril(np.ones((1, 512, 512), dtype=bool)),
+        queries=q, keys=k)
+    return make_classifier_engine(0), [[record]]
 
 
-def test_register_backend_rejects_duplicates():
-    class Dummy:
-        name = "numpy-ref"
-        description = "dup"
-
-        @staticmethod
-        def matrix(*args, **kwargs):
-            raise NotImplementedError
-
-    with pytest.raises(ValueError, match="already registered"):
-        backends.register_backend(Dummy())
+# 20-bit datapath: requantized queries reach |q| = 2^19 - 1, past the
+# float32 GEMM window (qmax * 3 * 64 >= 2^24) and the int32 scan window
+WIDE = {"qk_bits": 20}
 
 
-def test_register_and_unregister_custom_backend():
-    class Delegating:
-        name = "unit-test-backend"
-        description = "delegates to numpy-ref"
-
-        @staticmethod
-        def matrix(q, k, threshold, magnitude_bits, group, valid=None,
-                   margin_scale=1.0):
-            return backends.get_backend("numpy-ref").matrix(
-                q, k, threshold, magnitude_bits, group, valid=valid,
-                margin_scale=margin_scale)
-
-    backends.register_backend(Delegating())
-    try:
-        assert "unit-test-backend" in backends.list_backends()
-        rng = np.random.default_rng(31)
-        q = rng.integers(-50, 50, (3, 6))
-        k = rng.integers(-50, 50, (3, 6))
-        result = bitserial_cycles_matrix(q, k, 10.0, 5, 2,
-                                         backend="unit-test-backend")
-        expected = bitserial_cycles_matrix(q, k, 10.0, 5, 2)
-        assert_matches(result, expected)
-    finally:
-        backends.unregister_backend("unit-test-backend")
-    assert "unit-test-backend" not in backends.list_backends()
-
-
-def test_tile_config_threads_backend():
-    from dataclasses import replace
-
-    from repro.hw import AE_LEOPARD, TileSimulator
-
-    sim = TileSimulator(replace(AE_LEOPARD,
-                                kernel_backend="numpy-packed"))
-    assert sim.backend.name == "numpy-packed"
-    # no config override: follows the session's resolved default
-    # (env var or DEFAULT_BACKEND)
-    assert TileSimulator(AE_LEOPARD).backend.name == \
-        backends.get_backend().name
-    assert TileSimulator(AE_LEOPARD,
-                         backend="numpy-packed").backend.name == \
-        "numpy-packed"
-
-
-def test_hardware_estimate_records_backend(monkeypatch):
-    """Serving/engine hardware estimates must say which kernel made
-    them — per-request metadata for coalesced traffic."""
+@pytest.mark.parametrize("build,wide", [
+    (_classify_records, False), (_decode_records, False),
+    (_paper_scale_records, True)],
+    ids=["classify", "decode", "paper-scale"])
+def test_estimates_match_oracle(build, wide, monkeypatch):
+    """``estimate_many`` gives the same ``HardwareEstimate`` and
+    ``TileCounters`` on the packed kernel as with the numpy-ref oracle
+    swapped in for ``repro.hw.tile.kernel``."""
     import dataclasses
 
-    import repro.serve.__main__ as serve_main
+    from repro.hw import AE_LEOPARD, TileSimulator, tile
+    from repro.hw.backends import packed_common
+    from repro.hw.workload import jobs_from_records
 
-    engine = serve_main.build_classifier_engine()
-    batch_inputs = np.arange(6).reshape(1, 6) % 4
-    mask = np.ones((1, 6), dtype=bool)
-    _, records = engine.run_recorded(
-        lambda: engine.logits_for(batch_inputs, mask))
-    monkeypatch.delenv(backends.ENV_VAR, raising=False)
-    estimate = engine.estimate_from_records(records)
-    assert estimate.kernel_backend == backends.DEFAULT_BACKEND
-    # the reference side is pinned to the oracle, so this compares two
-    # kernels whatever the default is
-    monkeypatch.setenv(backends.ENV_VAR, "numpy-ref")
-    ref_estimate = engine.estimate_from_records(records)
-    assert ref_estimate.kernel_backend == "numpy-ref"
-    assert estimate.kernel_backend != ref_estimate.kernel_backend
-    # same records, different backend, identical hardware numbers —
-    # the conformance guarantee surfacing at the serving layer
-    assert dataclasses.replace(estimate, kernel_backend="numpy-ref") \
-        == ref_estimate
+    engine, groups = build()
+    config = (dataclasses.replace(AE_LEOPARD, **WIDE) if wide
+              else AE_LEOPARD)
 
+    def estimate():
+        simulator = TileSimulator(config)
+        counters = [simulator.run(jobs_from_records(records)).counters
+                    for records in groups]
+        return engine.estimate_many(groups, config), counters
 
-def test_hardware_estimate_default_names_default_backend():
-    """An estimate built without naming a kernel names the default
-    one, never a kernel that did not run."""
-    from repro.core.engine import HardwareEstimate
+    gemm_dtypes = []
+    gemm = packed_common._gemm
 
-    estimate = HardwareEstimate(
-        config_name="x", runtime_ns=1.0, baseline_runtime_ns=1.0,
-        speedup_vs_baseline=1.0, energy_reduction=1.0, pruning_rate=0.0)
-    assert estimate.kernel_backend == backends.DEFAULT_BACKEND
-    assert backends.DEFAULT_BACKEND == "numpy-packed"
+    def recording_gemm(a, b, **kwargs):
+        gemm_dtypes.append(a.dtype)
+        return gemm(a, b, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(packed_common, "_gemm", recording_gemm)
+        packed = estimate()
+    oracle_jobs = []
+
+    def oracle(jobs):
+        oracle_jobs.extend(jobs)
+        return numpy_ref.matrix_many(jobs)
+
+    monkeypatch.setattr(tile, "kernel", oracle)
+    reference = estimate()
+    assert oracle_jobs, "the oracle must stand in for the kernel"
+    assert set(gemm_dtypes) == {np.dtype(np.float64 if wide
+                                         else np.float32)}
+    assert packed == reference
+    estimates, counters = packed
+    assert len(estimates) == len(counters) == len(groups)
+    assert all(0 < c.scores_pruned < c.scores_total for c in counters)

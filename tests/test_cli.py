@@ -135,16 +135,6 @@ def test_bad_numeric_flags_are_clean_errors(capsys, argv, message):
     assert "Traceback" not in err
 
 
-def test_unknown_kernel_backend_is_a_clean_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        serve_main(["--kernel-backend", "nope"])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "error: unknown kernel backend 'nope'" in err
-    assert "numpy-packed" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("argv,message", [
     (["--replicas", "0"], "--replicas must be >= 1"),
     (["--requests", "0"], "requests must be >= 1"),
@@ -155,8 +145,15 @@ def test_unknown_kernel_backend_is_a_clean_error(capsys):
     (["--layers", "0"], "--layers must be >= 1"),
     (["--dim", "0"], "--dim must be a positive even number"),
     (["--dim", "3"], "--dim must be a positive even number"),
+    (["--rate", "nan"], "arrival rates must be finite and > 0"),
+    (["--burst-rate", "nan"], "arrival rates must be finite and > 0"),
+    (["--ttft-slo", "0"], "ttft_target must be > 0"),
+    (["--ttft-slo", "-1"], "ttft_target must be > 0"),
+    (["--ttft-slo", "nan"], "ttft_target must be > 0"),
 ], ids=["replicas", "requests", "prompt-tokens", "new-tokens",
-        "max-batch-size", "step-token-budget", "layers", "dim", "dim-odd"])
+        "max-batch-size", "step-token-budget", "layers", "dim", "dim-odd",
+        "rate-nan", "burst-rate-nan", "ttft-slo-zero", "ttft-slo-negative",
+        "ttft-slo-nan"])
 def test_loadgen_bad_flags_are_clean_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
         loadgen_main(["--virtual", *argv])

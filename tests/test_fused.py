@@ -1,8 +1,8 @@
 """Batched-kernel conformance: ``matrix_many`` vs per-job ``matrix``.
 
-The fused cross-job path (and every backend's batched entry point,
-fallback loop included) must return the row activity of calling
-``matrix`` per job, bit for bit — regardless of how jobs are banded,
+The fused cross-job path (and the oracle's batched entry point) must
+return the row activity of calling ``matrix`` per job, bit for bit —
+regardless of how jobs are banded,
 padded or chunked.  These tests pin that contract on randomized
 mixed-shape job sets including every edge case the solo conformance
 matrix covers (all-pruned, empty/partial valid masks, huge-q float64
@@ -13,13 +13,16 @@ fallback, aggressive margins), plus the standalone
 import numpy as np
 import pytest
 
-from repro.hw import backends
-from repro.hw.backends import KernelJob, matrix_many_loop, run_many
+from repro.hw.backends import (KernelJob, matrix_many_loop, numpy_ref,
+                               run_many)
 from repro.hw.backends.packed_common import (PlaneGroupCache,
                                              fused_matrix_many,
                                              pack_planes, plane_spec)
+from repro.hw.bitserial import bitserial_cycles_matrix
 
-BACKENDS = ("numpy-ref", "numpy-packed")
+# the packed kernel and its oracle: (one-tile matrix, batched matrix_many)
+KERNELS = {"numpy-ref": (numpy_ref.matrix, numpy_ref.matrix_many),
+           "numpy-packed": (bitserial_cycles_matrix, fused_matrix_many)}
 
 
 def assert_job_matches(actual, expected, context=""):
@@ -37,11 +40,11 @@ def assert_activity_matches(actual, expected, context=""):
                                       err_msg=f"{name} {context}")
 
 
-def matrix_loop(backend, jobs):
+def matrix_loop(matrix, jobs):
     """Each job's ``(cycles, pruned, scores)`` tile."""
-    return [backend.matrix(job.q, job.k, job.threshold,
-                           job.magnitude_bits, job.group, valid=job.valid,
-                           margin_scale=job.margin_scale)
+    return [matrix(job.q, job.k, job.threshold, job.magnitude_bits,
+                   job.group, valid=job.valid,
+                   margin_scale=job.margin_scale)
             for job in jobs]
 
 
@@ -87,57 +90,40 @@ def mixed_jobs(rng, count=24, dim_choices=(8, 16, 64)):
 
 
 # ---------------------------------------------------------------------------
-# matrix_many == per-job matrix, for every registered backend
+# matrix_many == per-job matrix, for the packed kernel and its oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matrix_many_matches_per_job_loop(backend):
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_matrix_many_matches_per_job_loop(kernel):
     """The batched entry point is bit-identical to the per-job
     ``matrix`` loop on randomized mixed-shape job sets."""
-    resolved = backends.get_backend(backend)
+    matrix, matrix_many = KERNELS[kernel]
     for seed in (0, 1, 2):
         jobs = mixed_jobs(np.random.default_rng(seed))
-        fused = run_many(resolved, jobs)
-        loop = matrix_many_loop(resolved, jobs)
+        fused = run_many(matrix_many, jobs)
+        loop = matrix_many_loop(matrix, jobs)
         assert len(fused.rows) == len(fused.bits) == len(jobs)
         assert_activity_matches(fused, loop,
-                                f"(backend={backend}, seed={seed})")
+                                f"(kernel={kernel}, seed={seed})")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_matrix_many_matches_reference_backend(backend):
-    """Cross-backend: every backend's batched results equal the
-    numpy-ref per-job loop (transitively pins the fused GEMM to the
-    scalar trace the solo matrix conformance already covers)."""
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_matrix_many_matches_reference_backend(kernel):
+    """Each kernel's batched results equal the numpy-ref per-job loop
+    (transitively pins the fused GEMM to the scalar trace the solo
+    matrix conformance already covers)."""
     jobs = mixed_jobs(np.random.default_rng(7), count=16)
-    reference = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
-    fused = run_many(backends.get_backend(backend), jobs)
-    assert_activity_matches(fused, reference, f"(backend={backend})")
+    reference = matrix_many_loop(numpy_ref.matrix, jobs)
+    fused = run_many(KERNELS[kernel][1], jobs)
+    assert_activity_matches(fused, reference, f"(kernel={kernel})")
 
 
-def test_run_many_empty_and_fallback():
-    """run_many on no jobs is an empty activity; backends without a
-    fused tier silently fall back to the per-job loop."""
-    for name in BACKENDS:
-        empty = run_many(backends.get_backend(name), [])
+def test_run_many_empty():
+    """run_many on no jobs is an empty activity."""
+    for _, matrix_many in KERNELS.values():
+        empty = run_many(matrix_many, [])
         assert empty.rows.shape == empty.bits.shape == (0,)
         assert empty.counts.shape == (4, 0)
-
-    class LoopOnly:
-        name = "loop-only"
-        description = "no matrix_many attribute"
-
-        @staticmethod
-        def matrix(q, k, threshold, magnitude_bits, group, valid=None,
-                   margin_scale=1.0):
-            return backends.get_backend("numpy-ref").matrix(
-                q, k, threshold, magnitude_bits, group, valid=valid,
-                margin_scale=margin_scale)
-
-    jobs = mixed_jobs(np.random.default_rng(3), count=6)
-    fused = run_many(LoopOnly(), jobs)
-    reference = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
-    assert_activity_matches(fused, reference, "(loop fallback)")
 
 
 def test_narrow_integer_inputs_match_int64():
@@ -154,7 +140,7 @@ def test_narrow_integer_inputs_match_int64():
                         magnitude_bits=job.magnitude_bits, group=job.group,
                         valid=job.valid, margin_scale=job.margin_scale)
               for job in wide if np.abs(job.q).max(initial=0) < 1 << 15]
-    reference = matrix_many_loop(backends.get_backend("numpy-ref"), narrow)
+    reference = numpy_ref.matrix_many(narrow)
     assert_activity_matches(fused_matrix_many(narrow), reference)
 
 
@@ -218,10 +204,9 @@ def test_f32_window_edge_is_bit_identical(qmax, dtype, monkeypatch):
 
     monkeypatch.setattr(packed_common, "_gemm", recording_gemm)
     jobs = _window_jobs(qmax, np.random.default_rng(qmax))
-    reference = matrix_loop(backends.get_backend("numpy-ref"), jobs)
-    activity = matrix_many_loop(backends.get_backend("numpy-ref"), jobs)
-    packed = backends.get_backend("numpy-packed")
-    solo = matrix_loop(packed, jobs)
+    reference = matrix_loop(numpy_ref.matrix, jobs)
+    activity = numpy_ref.matrix_many(jobs)
+    solo = matrix_loop(bitserial_cycles_matrix, jobs)
     fused = fused_matrix_many(jobs)
     assert seen and set(seen) == {np.dtype(dtype)}
     for i, expected in enumerate(reference):

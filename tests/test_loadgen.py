@@ -77,6 +77,24 @@ def test_trace_spec_validates():
         TraceSpec(classify_fraction=1.5)
 
 
+@pytest.mark.parametrize("rates", [
+    {"rate": float("nan")}, {"burst_rate": float("nan")},
+    {"rate": float("inf")}, {"burst_rate": -1.0}],
+    ids=["rate-nan", "burst-rate-nan", "rate-inf", "burst-rate-negative"])
+def test_trace_spec_rejects_non_finite_rates(rates):
+    """A NaN rate compares False to 0 and would make every arrival
+    time NaN, which a replay waits for forever."""
+    with pytest.raises(ValueError, match="finite and > 0"):
+        TraceSpec(process="bursty", **rates)
+
+
+@pytest.mark.parametrize("target", [0.0, -1.0, float("nan")])
+def test_slo_admission_rejects_unattainable_targets(target):
+    for name in ("ttft_target", "tbt_target", "step_time"):
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            SLOAdmission(**{name: target})
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bursty_arrivals_are_burstier_than_poisson(seed):
     """The MMPP trace's inter-arrival coefficient of variation exceeds

@@ -157,6 +157,9 @@ def test_worker_kill_mid_replay_reroutes_without_leaks(snapshot):
         tier.step(clock())
         os.kill(tier._links[0].proc.pid, signal.SIGKILL)
         tier._links[0].proc.join(timeout=5)
+        clock.advance(1e-3)
+        tier.step(clock())              # finds worker0 dead, reroutes
+        assert_rollup_counts_live_load_only(tier)
         while tier.has_pending():
             clock.advance(1e-3)
             tier.step(clock())
@@ -182,8 +185,25 @@ def test_worker_kill_mid_replay_reroutes_without_leaks(snapshot):
         assert summary["workers"]["worker0"]["health"] == "quarantined"
         assert summary["workers"]["worker1"]["health"] == "ok"
         assert summary["tier"]["completed"] == len(ids)
+        # the quarantined row keeps its last numbers, the rollup drops them
+        assert summary["workers"]["worker0"]["kv_slots_in_use"] > 0
+        assert_rollup_counts_live_load_only(tier)
+        assert summary["tier"]["kv_slots_in_use"] == 0
     finally:
         tier.close()
+
+
+def assert_rollup_counts_live_load_only(tier):
+    """The tier row of ``stats_summary`` sums live load signals over
+    the workers still serving, and nothing from quarantined ones."""
+    summary = tier.stats_summary()
+    rollup = summary["tier"]
+    live = [row for row in summary["workers"].values()
+            if row["health"] != "quarantined"]
+    assert rollup["kv_slots_in_use"] == tier.kv_slots_in_use()
+    assert rollup["queue_depth"] == tier.queue_depth()
+    assert rollup["outstanding_tokens"] == sum(
+        row["outstanding_tokens"] for row in live)
 
 
 @needs_fork

@@ -14,8 +14,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.hw import (AE_LEOPARD, HP_LEOPARD, TileSimulator,
-                      baseline_like, get_backend)
+from repro.hw import AE_LEOPARD, HP_LEOPARD, TileSimulator, baseline_like
+from repro.hw.backends import numpy_ref
 from repro.hw.bitserial import serial_cycle_count
 from repro.hw.tile import TileCounters
 from repro.hw.workload import HeadJob, job_from_arrays
@@ -37,7 +37,6 @@ PRUNING_CONFIGS = {
 def per_job_run(config, jobs):
     """Reference schedule: one kernel call and one activity pass per
     job, summed."""
-    backend = get_backend("numpy-ref")
     full = serial_cycle_count(config.qk_bits, config.serial_bits)
     counters = TileCounters()
     total = fe_all = be_all = stall = 0
@@ -45,7 +44,7 @@ def per_job_run(config, jobs):
         q, k, threshold = job.quantized_for(config.magnitude_bits)
         valid = job.valid
         if config.early_termination:
-            cycles, pruned, scores = backend.matrix(
+            cycles, pruned, scores = numpy_ref.matrix(
                 q, k, threshold, config.magnitude_bits,
                 config.serial_bits, valid=valid)
         else:
@@ -201,8 +200,7 @@ def test_vectorised_activity_spans_chunks(monkeypatch):
     bands and several chunks per band; the fused row activity still
     equals the numpy-ref ``matrix`` loop's, and ``TileSimulator.run``
     the per-job schedule, on edge-case tiles."""
-    from repro.hw.backends import (KernelJob, matrix_many_loop,
-                                   packed_common, run_many)
+    from repro.hw.backends import KernelJob, packed_common
 
     chunks = []
     scan = packed_common._scan
@@ -213,7 +211,6 @@ def test_vectorised_activity_spans_chunks(monkeypatch):
 
     monkeypatch.setattr(packed_common, "_MAX_CHUNK_MACS", 1 << 14)
     monkeypatch.setattr(packed_common, "_scan", recording_scan)
-    packed, reference = get_backend("numpy-packed"), get_backend("numpy-ref")
     for seed in range(3):
         tiles = edge_tiles(seed)
         kernel_jobs = [KernelJob(q=q, k=k, threshold=threshold,
@@ -221,8 +218,8 @@ def test_vectorised_activity_spans_chunks(monkeypatch):
                                  margin_scale=margin_scale)
                        for q, k, threshold, valid, margin_scale in tiles]
         chunks.clear()
-        fused = run_many(packed, kernel_jobs)
-        loop = matrix_many_loop(reference, kernel_jobs)
+        fused = packed_common.fused_matrix_many(kernel_jobs)
+        loop = numpy_ref.matrix_many(kernel_jobs)
         for name in ("rows", "counts", "bits"):
             np.testing.assert_array_equal(getattr(fused, name),
                                           getattr(loop, name),
